@@ -181,6 +181,27 @@ void DeterministicMerger::pump() {
   pumping_ = false;
 }
 
+std::optional<DeterministicMerger::Demand> DeterministicMerger::demand()
+    const {
+  if (paused_ || groups_.empty() || !state_[cursor_].queue.empty()) {
+    return std::nullopt;
+  }
+  std::uint64_t backlog = 0;
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    const GroupState& gs = state_[i];
+    if (i == cursor_ || gs.queue.empty() || marked_for_removal(groups_[i])) {
+      continue;
+    }
+    // Decided but not yet merged: everything from the merged position (a
+    // partially consumed skip range counts its consumed prefix as merged)
+    // up to the next expected instance.
+    const InstanceId merged = gs.queue.front().first + gs.front_consumed;
+    backlog = std::max<std::uint64_t>(backlog, gs.next - merged);
+  }
+  if (backlog == 0) return std::nullopt;
+  return Demand{groups_[cursor_], (backlog + m_ - 1) / m_ * m_};
+}
+
 void DeterministicMerger::pause() { paused_ = true; }
 
 void DeterministicMerger::resume() {

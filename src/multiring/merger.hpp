@@ -32,6 +32,7 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/types.hpp"
@@ -118,6 +119,19 @@ class DeterministicMerger {
   GroupId waiting_on() const {
     return groups_.empty() ? GroupId{-1} : groups_[cursor_];
   }
+
+  /// A stalled group and the instances it owes before the merge can drain
+  /// what the other groups already decided.
+  struct Demand {
+    GroupId group = -1;
+    std::uint64_t owed = 0;
+  };
+  /// Demand-driven skipping (Mencius-style): reports the group at the cursor
+  /// when it has nothing buffered, the merger is not paused, and other
+  /// active groups hold decided-but-unmerged instances. `owed` is the
+  /// largest such backlog rounded up to M — enough instances from the
+  /// stalled group to let every peer deliver its backlog.
+  std::optional<Demand> demand() const;
 
  private:
   struct GroupState {

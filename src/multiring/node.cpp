@@ -59,7 +59,17 @@ void MultiRingNode::make_handler(const RingSub& sub) {
   auto handler = std::make_unique<ringpaxos::RingHandler>(
       *this, *registry_, sub.group, sub.params,
       [this, learner](GroupId g, InstanceId i, const paxos::Value& v) {
-        if (learner) merger_->on_decision(g, i, v);
+        if (!learner) return;
+        merger_->on_decision(g, i, v);
+        if (!demand_check_armed_ && merger_->groups().size() > 1) {
+          // Once per event batch: the zero-delay timer fires after the
+          // current batch drains, so a burst of decisions costs one check.
+          demand_check_armed_ = true;
+          after(0, [this] {
+            demand_check_armed_ = false;
+            check_demand();
+          });
+        }
       });
   handler->set_trimmed_gap_handler(
       [this](GroupId g, InstanceId trimmed_to) {
@@ -74,6 +84,15 @@ void MultiRingNode::make_handler(const RingSub& sub) {
     handler->set_delivery_floor(start);
   }
   handlers_[sub.group] = std::move(handler);
+}
+
+void MultiRingNode::check_demand() {
+  if (!merger_) return;
+  const std::optional<DeterministicMerger::Demand> d = merger_->demand();
+  if (!d) return;
+  // The stalled group has nothing buffered, so its handler's delivery
+  // watermark is the merged position: skip `owed` instances beyond it.
+  if (auto* h = handler(d->group)) h->request_skip(h->next_delivery() + d->owed);
 }
 
 void MultiRingNode::persist_config() {

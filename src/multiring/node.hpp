@@ -155,6 +155,9 @@ class MultiRingNode : public runtime::Node {
   void deliver_merged(GroupId group, InstanceId instance,
                       const paxos::Value& v);
   void make_handler(const RingSub& sub);
+  /// Asks the ring the merge is stalled on for demand-driven skips (see
+  /// DeterministicMerger::demand); runs once per event batch with decisions.
+  void check_demand();
   void persist_config();
   void publish_subscriptions();
   InstanceId start_of(GroupId group) const;
@@ -167,6 +170,7 @@ class MultiRingNode : public runtime::Node {
   // may still reference them. Bounded by the number of detach calls.
   std::vector<std::unique_ptr<ringpaxos::RingHandler>> retired_;
   std::unique_ptr<DeterministicMerger> merger_;
+  bool demand_check_armed_ = false;  // end-of-batch check_demand pending
   AppDeliverFn app_deliver_;
   DeliveryObserverFn observer_;
 

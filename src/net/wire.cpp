@@ -188,6 +188,12 @@ bool encode_body(Writer& w, const runtime::Message& m) {
       w.i64(x.retry_after);
       return true;
     }
+    case ringpaxos::kMsgSkipDemand: {
+      const auto& x = runtime::msg_cast<ringpaxos::MsgSkipDemand>(m);
+      put_ring_base(w, x);
+      w.u64(x.upto);
+      return true;
+    }
     case ringpaxos::kMsgLogSyncReq: {
       const auto& x = runtime::msg_cast<ringpaxos::MsgLogSyncReq>(m);
       put_ring_base(w, x);
@@ -383,6 +389,11 @@ runtime::MessagePtr decode_body(int kind, Reader& r) {
       m->id.proposer = get_id(r);
       m->id.seq = r.u64();
       m->retry_after = r.i64();
+      return m;
+    }
+    case ringpaxos::kMsgSkipDemand: {
+      auto m = ring_base<ringpaxos::MsgSkipDemand>(r);
+      m->upto = r.u64();
       return m;
     }
     case ringpaxos::kMsgLogSyncReq: {

@@ -1,6 +1,7 @@
 // Coordinator-side Ring Paxos: Phase 1 pre-execution, the instance pipeline,
-// rate leveling (skip instances), and retry of undecided instances.
+// rate leveling and demand-driven skips, and retry of undecided instances.
 #include <algorithm>
+#include <limits>
 
 #include "common/check.hpp"
 #include "ringpaxos/ring_handler.hpp"
@@ -291,6 +292,31 @@ void RingHandler::rate_level_tick() {
   }
   const auto deficit = static_cast<std::uint32_t>(quota - produced);
   coordinator_enqueue(paxos::Value::skip(next_value_id(), deficit));
+}
+
+void RingHandler::request_skip(InstanceId upto) {
+  // Rate leveling stays the single switch: a ring configured without it
+  // never skips, on demand or otherwise.
+  if (detached_ || params_.lambda <= 0) return;
+  if (!is_coordinator()) {
+    if (upto <= skip_demand_sent_ || view_.coordinator == kNoProcess) return;
+    skip_demand_sent_ = upto;
+    auto m = std::make_shared<MsgSkipDemand>();
+    m->ring = ring_;
+    m->upto = upto;
+    host_.send(view_.coordinator, std::move(m));
+    return;
+  }
+  if (!coord_.active || !coord_.phase1_done || upto <= coord_.next_instance ||
+      !coord_.pending.empty() || coord_.inflight.size() >= coord_.window) {
+    return;  // stale demand, or the ring is busy and will advance anyway
+  }
+  const auto count = static_cast<std::uint32_t>(std::min<InstanceId>(
+      upto - coord_.next_instance, std::numeric_limits<std::uint32_t>::max()));
+  // Demand skips count toward the rate-leveling interval: the Delta tick
+  // only tops up what demand did not already cover.
+  coord_.interval_value_instances += count;
+  coordinator_enqueue(paxos::Value::skip(next_value_id(), count));
 }
 
 void RingHandler::retry_tick() {

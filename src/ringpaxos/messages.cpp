@@ -4,6 +4,6 @@
 #include "ringpaxos/messages.hpp"
 
 namespace mrp::ringpaxos {
-static_assert(kMsgProposal >= 100 && kMsgBusy <= 199,
+static_assert(kMsgProposal >= 100 && kMsgLogSyncReply <= 199,
               "ring paxos message kinds must stay in their range");
 }  // namespace mrp::ringpaxos

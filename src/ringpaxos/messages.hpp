@@ -27,6 +27,7 @@ constexpr int kMsgRetransmitReq = 105;
 constexpr int kMsgRetransmitReply = 106;
 constexpr int kMsgTrim = 107;
 constexpr int kMsgBusy = 108;
+constexpr int kMsgSkipDemand = 109;
 constexpr int kMsgLogSyncReq = 110;
 constexpr int kMsgLogSyncReply = 111;
 
@@ -166,6 +167,16 @@ struct MsgBusy final : RingMessage {
   TimeNs retry_after = 0;
   int kind() const override { return kMsgBusy; }
   std::size_t wire_size() const override { return 36; }
+};
+
+/// Learner -> coordinator (point-to-point, off the ring): this learner's
+/// merge is stalled on the ring while other rings hold decided instances,
+/// so the coordinator should skip up to (excluding) `upto` now rather than
+/// at its next rate-leveling tick. Stale or duplicate demands are no-ops.
+struct MsgSkipDemand final : RingMessage {
+  InstanceId upto = 0;
+  int kind() const override { return kMsgSkipDemand; }
+  std::size_t wire_size() const override { return 24; }
 };
 
 }  // namespace mrp::ringpaxos

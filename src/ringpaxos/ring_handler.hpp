@@ -147,6 +147,15 @@ class RingHandler {
   /// Requests retransmission of [next_delivery, hi) immediately (recovery).
   void request_retransmission(InstanceId hi);
 
+  /// Demand-driven skip: a learner's merge is stalled on this ring while
+  /// other rings hold decided instances, so the ring should skip up to
+  /// (excluding) `upto` now instead of at the next rate-leveling tick. The
+  /// coordinator proposes one skip range ending at `upto` when its pipeline
+  /// is idle (pending empty, window not full); any other member sends
+  /// MsgSkipDemand to the coordinator, once per higher `upto`. Stale demands
+  /// are no-ops, and nothing happens with rate leveling off (lambda == 0).
+  void request_skip(InstanceId upto);
+
   /// Registry tells this (future) acceptor to catch up from `sources`'
   /// acceptor logs before the quorum basis switches (see
   /// coord/registry.hpp acceptor reconfiguration).
@@ -260,6 +269,7 @@ class RingHandler {
   InstanceId next_delivery_ = 0;
   InstanceId pending_decision_hint_ = 0;  // highest decided instance heard + 1
   TimeNs last_progress_ = 0;
+  InstanceId skip_demand_sent_ = 0;  // highest MsgSkipDemand::upto sent
   bool retransmit_inflight_ = false;
   std::size_t retransmit_cursor_ = 0;  // rotates over remote acceptors
 

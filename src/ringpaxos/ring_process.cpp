@@ -9,6 +9,11 @@ namespace {
 int ttl_for(const coord::RingView& v) {
   return static_cast<int>(v.members.size()) + 2;
 }
+
+// Size bound on one retransmission or log-sync reply, on top of the
+// max_retransmit_instances count bound: far below the transport's 64 MiB
+// frame limit even when instances carry large batched values.
+constexpr std::size_t kCatchupReplyBytes = 8u << 20;
 }  // namespace
 
 RingHandler::RingHandler(runtime::Node& host, coord::Registry& registry,
@@ -181,6 +186,9 @@ void RingHandler::handle(ProcessId from, const runtime::Message& m) {
     case kMsgBusy:
       handle_busy(runtime::msg_cast<MsgBusy>(m));
       return;
+    case kMsgSkipDemand:
+      request_skip(runtime::msg_cast<MsgSkipDemand>(m).upto);
+      return;
     case kMsgLogSyncReq:
       handle_log_sync_req(from, runtime::msg_cast<MsgLogSyncReq>(m));
       return;
@@ -291,9 +299,14 @@ void RingHandler::handle_phase2(ProcessId /*from*/, const MsgPhase2& m) {
 
   // Vote only under the acceptor view the mask was built for: vote bits are
   // positional in the configured list, so a mask minted under another basis
-  // must circulate (for learning) but gather no votes here.
+  // must circulate (for learning) but gather no votes here. A Phase 2 whose
+  // votes already form a quorum is past its decision point: acceptors
+  // downstream of the quorum cache and forward it without logging, so each
+  // decided value sits in (at least) a quorum of logs rather than in all of
+  // them — all that Phase 1, the replace gate and the union catch-up need.
   if (configured_acceptor_ && log_ && m.aview == view_.acceptor_view &&
-      m.round >= log_->promised()) {
+      m.round >= log_->promised() &&
+      !paxos::is_quorum(m.votes, view_.total_acceptors)) {
     if (m.round > log_->promised()) log_->promise(m.round, nullptr);
     MsgPhase2 out = m;
     out.ttl = m.ttl - 1;
@@ -382,9 +395,11 @@ void RingHandler::handle_decision(const MsgDecision& m) {
 
   if (have_value) {
     if (log_) {
-      // Make sure the record exists (e.g. decision learned via
-      // recirculation after a view change) and is marked decided.
-      if (!log_->get(m.instance)) {
+      // A decision re-circulated with its value (Phase 1 adoption after a
+      // view change) installs the record where it is missing. A plain
+      // decision only marks an existing record: an acceptor that saw the
+      // Phase 2 after its quorum formed deliberately holds no record.
+      if (m.with_value && !log_->get(m.instance)) {
         paxos::LogRecord rec;
         rec.vround = coord_.round;
         rec.value = value;
@@ -524,7 +539,11 @@ void RingHandler::handle_retransmit_req(ProcessId from,
     if (!rec.decided) continue;
     reply->decided.emplace_back(inst, rec.value);
     bytes += rec.value.payload.size() + 40;
-    if (++served >= params_.max_retransmit_instances) break;
+    // Bounded by count and by size: the learner chases the remainder.
+    if (++served >= params_.max_retransmit_instances ||
+        bytes >= kCatchupReplyBytes) {
+      break;
+    }
   }
   // Reading and serializing the log records competes with the acceptor's
   // ring duties — this is what makes recovery visible in Figure 8.
@@ -600,7 +619,7 @@ void RingHandler::handle_log_sync_req(ProcessId from, const MsgLogSyncReq& m) {
   reply->trimmed_to = log_->trimmed_to();
   const InstanceId hi =
       log_->highest_instance() ? *log_->highest_instance() + 1 : 0;
-  const InstanceId chunk_hi = std::min(
+  InstanceId chunk_hi = std::min(
       hi, m.from + static_cast<InstanceId>(params_.max_retransmit_instances));
   std::size_t bytes = 0;
   for (auto& [inst, rec] : log_->range(m.from, chunk_hi)) {
@@ -611,6 +630,13 @@ void RingHandler::handle_log_sync_req(ProcessId from, const MsgLogSyncReq& m) {
     p.decided = rec.decided;
     bytes += rec.value.payload.size() + 40;
     reply->records.push_back(std::move(p));
+    // Size bound: the chunk ends after this record. Only records at or
+    // above the cursor may end it (range() can lead with a skip range
+    // straddling `from`), so every chunk makes progress.
+    if (bytes >= kCatchupReplyBytes && inst >= m.from) {
+      chunk_hi = inst + 1;
+      break;
+    }
   }
   reply->next = chunk_hi;
   reply->done = chunk_hi >= hi;

@@ -34,6 +34,8 @@ constexpr int kMaxEpollEvents = 128;
 // iovecs per sendmsg: enough to gather 32 header+body frame pairs per
 // syscall without a large stack footprint (IOV_MAX is far higher).
 constexpr std::size_t kMaxIov = 64;
+// Longest epoll_wait: the loop re-checks stop_ at least this often.
+constexpr int kMaxWaitMs = 200;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -77,6 +79,13 @@ std::string sanitize_key(const std::string& key) {
 }
 
 }  // namespace
+
+int wait_timeout_ms(TimeNs delta) {
+  if (delta <= 0) return 0;
+  // Round up: truncating-plus-one would wait 6 ms for an exact 5 ms timer.
+  return static_cast<int>(std::min<TimeNs>(
+      (delta + kMillisecond - 1) / kMillisecond, kMaxWaitMs));
+}
 
 // ---------------------------------------------------------------------------
 // ThreadRuntime
@@ -670,15 +679,10 @@ void ThreadRuntime::loop() {
     if (stop_.load(std::memory_order_acquire)) break;
     flush_dirty();
 
-    int timeout_ms = 200;  // re-check stop_/timers at least this often
     const TimeNs deadline = next_deadline();
-    if (deadline != kNoDeadline) {
-      const TimeNs delta = deadline - now();
-      timeout_ms = delta <= 0
-                       ? 0
-                       : static_cast<int>(std::min<TimeNs>(
-                             delta / 1'000'000 + 1, 200));
-    }
+    const int timeout_ms = wait_timeout_ms(
+        deadline == kNoDeadline ? kMaxWaitMs * kMillisecond
+                                : deadline - now());
     const int nready = ::epoll_wait(epoll_fd_, events, kMaxEpollEvents,
                                     timeout_ms);
     ++stats_.syscalls;

@@ -128,6 +128,12 @@ struct TransportStats {
 
 class ThreadCluster;
 
+/// The event loop's epoll_wait timeout for a timer due in `delta` ns: whole
+/// milliseconds rounded up (a timer never fires early and at most 1 ms
+/// late), 0 when already due, and at most 200 ms so the loop re-checks its
+/// stop flag.
+int wait_timeout_ms(TimeNs delta);
+
 class ThreadRuntime final : public Runtime {
  public:
   ~ThreadRuntime() override;

@@ -248,6 +248,80 @@ TEST(Merger, InstallTupleSkipsForward) {
   EXPECT_EQ(out, (std::vector<std::string>{"5", "3"}));
 }
 
+TEST(MergerDemand, StalledGroupOwesItsBufferedPeersBacklog) {
+  DeterministicMerger m({1, 2}, 1, [](GroupId, InstanceId, const paxos::Value&) {});
+  EXPECT_FALSE(m.demand().has_value()) << "nothing decided anywhere";
+  // Group 1 delivers instance 0, then the merge waits on group 2 while
+  // group 1 holds instances 1..3.
+  for (InstanceId i = 0; i < 4; ++i) m.on_decision(1, i, val("a"));
+  auto d = m.demand();
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->group, 2);
+  EXPECT_EQ(d->owed, 3u);
+  // A skip range covering the debt drains group 1 and clears the demand.
+  m.on_decision(2, 0, paxos::Value::skip({2, 1}, 3));
+  EXPECT_EQ(m.delivered(), 4u);
+  EXPECT_FALSE(m.demand().has_value());
+}
+
+TEST(MergerDemand, PartiallyConsumedSkipRangeCountsAsMerged) {
+  DeterministicMerger m({1, 2}, 1, [](GroupId, InstanceId, const paxos::Value&) {});
+  // Group 1: a 5-instance skip range. Group 1 moves first, so after group
+  // 2's two values three of the range's instances are merged and two
+  // remain buffered.
+  m.on_decision(1, 0, paxos::Value::skip({1, 1}, 5));
+  m.on_decision(2, 0, val("x"));
+  m.on_decision(2, 1, val("y"));
+  auto d = m.demand();
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->group, 2);
+  EXPECT_EQ(d->owed, 2u);
+}
+
+TEST(MergerDemand, PausedMergerDemandsNothing) {
+  DeterministicMerger m({1, 2}, 1, [](GroupId, InstanceId, const paxos::Value&) {});
+  m.pause();
+  for (InstanceId i = 0; i < 3; ++i) m.on_decision(1, i, val("a"));
+  EXPECT_FALSE(m.demand().has_value())
+      << "a paused merger is stalled on itself, not on a group";
+  m.resume();
+  ASSERT_TRUE(m.demand().has_value());
+  EXPECT_EQ(m.demand()->group, 2);
+  EXPECT_EQ(m.demand()->owed, 2u);
+}
+
+TEST(MergerDemand, AtRoundBoundaryTheFirstGroupOwes) {
+  DeterministicMerger m({1, 2}, 1, [](GroupId, InstanceId, const paxos::Value&) {});
+  // Group 2 is ahead; the merge sits at a round boundary waiting on group 1.
+  m.on_decision(2, 0, val("x"));
+  m.on_decision(2, 1, val("y"));
+  ASSERT_TRUE(m.at_round_boundary());
+  auto d = m.demand();
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->group, 1);
+  EXPECT_EQ(d->owed, 2u);
+  // Group 1 catches up and overtakes by one: now group 2 owes one.
+  for (const char* s : {"a", "b", "c", "d"}) {
+    m.on_decision(1, m.tuple()[1] + (m.delivered() >= 2 ? 0 : 0), val(s));
+  }
+  EXPECT_EQ(m.waiting_on(), 2);
+  ASSERT_TRUE(m.demand().has_value());
+  EXPECT_EQ(m.demand()->group, 2);
+  EXPECT_EQ(m.demand()->owed, 1u);
+}
+
+TEST(MergerDemand, OwedRoundsUpToTheMergeWindow) {
+  DeterministicMerger m({1, 2}, 4, [](GroupId, InstanceId, const paxos::Value&) {});
+  for (InstanceId i = 0; i < 5; ++i) m.on_decision(2, i, val("x"));
+  auto d = m.demand();
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->group, 1);
+  EXPECT_EQ(d->owed, 8u) << "a backlog of 5 needs two full M=4 turns";
+  // Paying the debt lets group 2 deliver all five.
+  m.on_decision(1, 0, paxos::Value::skip({1, 1}, 8));
+  EXPECT_EQ(m.delivered(), 5u);
+}
+
 // --- end-to-end multi-ring tests ---
 
 struct Delivery {
