@@ -120,6 +120,7 @@ void StoreReplicaNode::maybe_install() {
   }
   bootstrapping_ = false;
   merger()->resume();
+  check_demand_soon();
   // Persist the installed state promptly so a crash does not restart the
   // transfer (and so this replica's trim replies stop gating at zero).
   checkpointer().checkpoint_soon();

@@ -61,15 +61,7 @@ void MultiRingNode::make_handler(const RingSub& sub) {
       [this, learner](GroupId g, InstanceId i, const paxos::Value& v) {
         if (!learner) return;
         merger_->on_decision(g, i, v);
-        if (!demand_check_armed_ && merger_->groups().size() > 1) {
-          // Once per event batch: the zero-delay timer fires after the
-          // current batch drains, so a burst of decisions costs one check.
-          demand_check_armed_ = true;
-          after(0, [this] {
-            demand_check_armed_ = false;
-            check_demand();
-          });
-        }
+        check_demand_soon();
       });
   handler->set_trimmed_gap_handler(
       [this](GroupId g, InstanceId trimmed_to) {
@@ -84,6 +76,17 @@ void MultiRingNode::make_handler(const RingSub& sub) {
     handler->set_delivery_floor(start);
   }
   handlers_[sub.group] = std::move(handler);
+}
+
+void MultiRingNode::check_demand_soon() {
+  if (demand_check_armed_ || !merger_ || merger_->groups().size() < 2) return;
+  // Once per event batch: the zero-delay timer fires after the current
+  // batch drains, so a burst of decisions costs one check.
+  demand_check_armed_ = true;
+  after(0, [this] {
+    demand_check_armed_ = false;
+    check_demand();
+  });
 }
 
 void MultiRingNode::check_demand() {

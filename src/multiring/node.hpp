@@ -128,6 +128,10 @@ class MultiRingNode : public runtime::Node {
   /// The deterministic merger, or null if the node never subscribed to any
   /// group.
   DeterministicMerger* merger() { return merger_.get(); }
+  /// Schedules a demand-driven skip check (see DeterministicMerger::demand)
+  /// at the end of the current event batch; at most one is pending. Learner
+  /// decisions call it; so does whoever resumes a paused merger.
+  void check_demand_soon();
   /// Groups this node delivers, sorted ascending (the merge order basis).
   std::vector<GroupId> subscribed_groups() const;
 
@@ -156,7 +160,7 @@ class MultiRingNode : public runtime::Node {
                       const paxos::Value& v);
   void make_handler(const RingSub& sub);
   /// Asks the ring the merge is stalled on for demand-driven skips (see
-  /// DeterministicMerger::demand); runs once per event batch with decisions.
+  /// DeterministicMerger::demand).
   void check_demand();
   void persist_config();
   void publish_subscriptions();

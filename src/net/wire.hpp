@@ -2,7 +2,7 @@
 //
 // The simulator passes message objects by pointer, so the protocol modules
 // never needed a serialized form. Real sockets do: this module maps every
-// message kind that crosses a process boundary — Ring Paxos (100-108), SMR
+// message kind that crosses a process boundary — Ring Paxos (100-111), SMR
 // client traffic (300-302), registry watch notifications (600-602), and the
 // recovery protocol (610-615) — onto the codec's little-endian format.
 //

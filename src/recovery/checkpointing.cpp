@@ -98,6 +98,7 @@ void Checkpointer::take_checkpoint() {
     ++taken_;
     saving_ = false;
     node_.merger()->resume();
+    node_.check_demand_soon();
   }));
 }
 

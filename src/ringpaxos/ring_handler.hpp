@@ -269,9 +269,10 @@ class RingHandler {
   InstanceId next_delivery_ = 0;
   InstanceId pending_decision_hint_ = 0;  // highest decided instance heard + 1
   TimeNs last_progress_ = 0;
-  InstanceId skip_demand_sent_ = 0;  // highest MsgSkipDemand::upto sent
+  InstanceId skip_demand_sent_ = 0;  // highest MsgSkipDemand::upto sent to
+                                     // the current coordinator
   bool retransmit_inflight_ = false;
-  std::size_t retransmit_cursor_ = 0;  // rotates over remote acceptors
+  std::size_t retransmit_cursor_ = 0;  // current target; moves on no progress
 
   // Acceptor-log catch-up (joining acceptor): drains the UNION of all
   // sources' logs sequentially, then reports acceptor_synced to the

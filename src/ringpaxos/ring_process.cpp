@@ -247,6 +247,9 @@ void RingHandler::on_view(const coord::RingView& v) {
   if (detached_) return;
   if (v.epoch < view_.epoch) return;  // stale notification
   const bool basis_changed = v.acceptor_view != view_.acceptor_view;
+  // Demands sent to a former coordinator died with its term: a new one must
+  // hear the current demand even if it is not higher.
+  if (v.coordinator != view_.coordinator) skip_demand_sent_ = 0;
   view_ = v;
   if (basis_changed) {
     apply_acceptor_view();
@@ -489,6 +492,9 @@ void RingHandler::check_gap() {
       host_.now() - last_progress_ < 4 * params_.gap_timeout) {
     return;
   }
+  // Still in flight past the wait above: the request or its reply was lost,
+  // so try the next candidate.
+  if (retransmit_inflight_) ++retransmit_cursor_;
   InstanceId hi = pending_decision_hint_;
   if (!decided_buffer_.empty()) {
     hi = std::max(hi, decided_buffer_.front_key());
@@ -502,19 +508,27 @@ void RingHandler::request_retransmission(InstanceId hi) {
   req->ring = ring_;
   req->lo = next_delivery_;
   req->hi = hi;
-  // Rotate through the remote acceptors: an acceptor may hold the record of
-  // a needed instance without its decided mark (the decision notification
-  // can die between ring hops), so a fixed target could serve no progress
-  // forever while another acceptor — at least the quorum-crossing announcer
-  // — has the mark.
+  // Candidates in ring order starting at the coordinator: Phase 2 is logged
+  // by the coordinator and the acceptors after it until a quorum forms, so
+  // the acceptors past the quorum (which hold no records) come last. The
+  // target stays put while it serves progress and rotates only after a
+  // no-progress or lost reply: an acceptor may hold a needed record without
+  // its decided mark (the decision can die between ring hops), so a fixed
+  // target could stall forever while another acceptor — at least the
+  // quorum-crossing announcer — has the mark.
   std::vector<ProcessId> candidates;
-  for (ProcessId a : view_.acceptors) {
+  const auto& acc = view_.acceptors;
+  const auto first = std::find(acc.begin(), acc.end(), view_.coordinator);
+  const std::size_t start =
+      first == acc.end() ? 0 : static_cast<std::size_t>(first - acc.begin());
+  for (std::size_t k = 0; k < acc.size(); ++k) {
+    const ProcessId a = acc[(start + k) % acc.size()];
     if (a != host_.id()) candidates.push_back(a);
   }
   if (!candidates.empty()) {
     retransmit_inflight_ = true;
     ++retransmissions_;
-    host_.send(candidates[retransmit_cursor_++ % candidates.size()], req);
+    host_.send(candidates[retransmit_cursor_ % candidates.size()], req);
     return;
   }
   if (log_) {
@@ -564,12 +578,16 @@ void RingHandler::handle_retransmit_reply(const MsgRetransmitReply& m) {
   }
   const InstanceId before = next_delivery_;
   for (const auto& [inst, value] : m.decided) learn(inst, value);
-  // Replies are chunked (max_retransmit_instances); chase the remainder —
-  // but only when this reply actually advanced delivery. A no-progress
-  // reply (the serving acceptor lacks the decided mark for the gap's first
-  // instance) must fall back to the gap timer, which rotates to another
-  // acceptor; chasing it would spin a request/reply loop.
-  if (pending_decision_hint_ > next_delivery_ && next_delivery_ > before) {
+  // Replies are chunked (max_retransmit_instances and a byte budget); chase
+  // the remainder from the same acceptor — but only when this reply
+  // actually advanced delivery. A no-progress reply (the serving acceptor
+  // lacks the record or its decided mark) rotates to the next acceptor and
+  // falls back to the gap timer; chasing it would spin a request/reply loop.
+  if (next_delivery_ == before) {
+    ++retransmit_cursor_;
+    return;
+  }
+  if (pending_decision_hint_ > next_delivery_) {
     request_retransmission(pending_decision_hint_);
   }
 }

@@ -125,8 +125,10 @@ TEST(GeoIntegration, GlobalScanIsConsistentUnderConcurrentWrites) {
   // *different* clients is not promised and not tested.)
   int violations = 0;
   int scans = 0;
+  // Paced at one operation per 2 ms: each scan reads the whole store, so an
+  // unpaced session's work grows with the square of its operation count.
   env.spawn<smr::ClientNode>(
-      850, smr::ClientNode::Options{1, 5 * kSecond, 0},
+      850, smr::ClientNode::Options{1, 5 * kSecond, 0, 2 * kMillisecond},
       smr::ClientNode::NextFn(
           [&helper, n = 0](std::uint32_t) mutable
           -> std::optional<smr::Request> {
@@ -169,8 +171,10 @@ TEST(GeoIntegration, DlogMixedWorkloadWithCrash) {
   dlog::DLogClient client(dep);
 
   Rng rng(17);
+  // Paced (one operation per worker per 2 ms) so the run's size does not
+  // depend on how fast the merge delivers.
   auto* c = env.spawn<smr::ClientNode>(
-      860, smr::ClientNode::Options{8, 2 * kSecond, 0},
+      860, smr::ClientNode::Options{8, 2 * kSecond, 0, 2 * kMillisecond},
       smr::ClientNode::NextFn(
           [&client, &rng](std::uint32_t) -> std::optional<smr::Request> {
             const auto pick = rng.next_below(10);

@@ -2,6 +2,7 @@
 // rate leveling keeping the merge live, and the merger unit itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -301,9 +302,7 @@ TEST(MergerDemand, AtRoundBoundaryTheFirstGroupOwes) {
   EXPECT_EQ(d->group, 1);
   EXPECT_EQ(d->owed, 2u);
   // Group 1 catches up and overtakes by one: now group 2 owes one.
-  for (const char* s : {"a", "b", "c", "d"}) {
-    m.on_decision(1, m.tuple()[1] + (m.delivered() >= 2 ? 0 : 0), val(s));
-  }
+  for (InstanceId i = 0; i < 4; ++i) m.on_decision(1, i, val("a"));
   EXPECT_EQ(m.waiting_on(), 2);
   ASSERT_TRUE(m.demand().has_value());
   EXPECT_EQ(m.demand()->group, 2);
@@ -348,7 +347,9 @@ class MultiRingTest : public ::testing::Test {
  protected:
   /// Two rings: nodes 1-3 are members of both; node 4 is a member of ring 2
   /// only (the paper's Figure 2(c) layout, with L3 subscribing ring 2).
-  void build_fig2c(double lambda = 2000) {
+  /// Node 1 coordinates both rings; with `node1_learns_ring2` false it stays
+  /// a ring-2 member (and coordinator) but delivers ring 1 only.
+  void build_fig2c(double lambda = 2000, bool node1_learns_ring2 = true) {
     ringpaxos::RingParams p;
     p.lambda = lambda;
     p.skip_interval = 5 * kMillisecond;
@@ -371,10 +372,36 @@ class MultiRingTest : public ::testing::Test {
     multiring::NodeConfig only2;
     only2.rings = {multiring::RingSub{2, p, true}};
 
-    for (ProcessId n : {1, 2, 3}) {
+    multiring::NodeConfig node1 = both;
+    node1.rings[1].learner = node1_learns_ring2;
+
+    env_.spawn<TestNode>(1, registry_.get(), node1, sink_);
+    for (ProcessId n : {2, 3}) {
       env_.spawn<TestNode>(n, registry_.get(), both, sink_);
     }
     env_.spawn<TestNode>(4, registry_.get(), only2, sink_);
+  }
+
+  /// Multicasts `payload` to `group` from node `via` and returns the time.
+  TimeNs send_at(ProcessId via, GroupId group, const std::string& payload) {
+    env_.process_as<TestNode>(via)->multicast(group, Payload(payload));
+    sent_at_[payload] = env_.now();
+    return env_.now();
+  }
+
+  /// Largest send-to-delivery latency over the payloads sent with send_at,
+  /// at node `n`; fails the test if any of them was not delivered there.
+  TimeNs max_latency_at(ProcessId n) const {
+    TimeNs worst = 0;
+    for (const auto& [payload, sent] : sent_at_) {
+      auto it = delivered_time_.find({n, payload});
+      if (it == delivered_time_.end()) {
+        ADD_FAILURE() << payload << " not delivered at node " << n;
+        continue;
+      }
+      worst = std::max(worst, it->second - sent);
+    }
+    return worst;
   }
 
   std::vector<Delivery> delivered_at(ProcessId n) const {
@@ -389,9 +416,12 @@ class MultiRingTest : public ::testing::Test {
   std::unique_ptr<coord::Registry> registry_ =
       std::make_unique<coord::Registry>(env_);
   std::vector<Delivery> deliveries_;
+  std::map<std::string, TimeNs> sent_at_;
+  std::map<std::pair<ProcessId, std::string>, TimeNs> delivered_time_;
   std::shared_ptr<Sink> sink_ = std::make_shared<Sink>(
       [this](ProcessId n, GroupId g, InstanceId i, const Payload& p) {
         deliveries_.push_back({n, g, i, p.as_string()});
+        delivered_time_.emplace(std::make_pair(n, p.as_string()), env_.now());
       });
 };
 
@@ -483,6 +513,68 @@ TEST_F(MultiRingTest, WithoutRateLevelingIdleRingStallsMerge) {
   env_.process_as<TestNode>(1)->multicast(2, Payload(std::string("unblock")));
   env_.sim().run_for(from_millis(500));
   EXPECT_EQ(delivered_at(1).size(), 3u);
+}
+
+// Demand-driven skips (Delta = 5 ms, lambda = 2000). Without them a message
+// on one ring waits for the other ring's next rate-leveling tick: up to a
+// whole Delta. With them the stalled merger gets the idle ring skipped at
+// once, and the latency is a few ring passes.
+constexpr TimeNs kDelta = 5 * kMillisecond;
+
+TEST_F(MultiRingTest, LoneMessageIsDeliveredWellUnderDelta) {
+  build_fig2c();
+  env_.sim().run_for(from_millis(50));
+  // Lone messages at phases spread over the Delta tick (7.3 ms apart), on
+  // both rings. The merge turns to ring 1 first in each round, so it is a
+  // ring-2 message that waits for ring 1 to decide more instances.
+  for (int i = 0; i < 20; ++i) {
+    send_at((i % 3) + 1, (i % 2) + 1, "lone" + std::to_string(i));
+    env_.sim().run_for(from_micros(7300));
+  }
+  env_.sim().run_for(from_millis(100));
+  for (ProcessId n : {1, 2, 3}) {
+    EXPECT_LT(max_latency_at(n), kDelta / 4) << "node " << n;
+  }
+}
+
+TEST_F(MultiRingTest, NonCoordinatorLearnerDemandsSkipOverTheWire) {
+  // Node 1 coordinates both rings but delivers ring 1 only, so its own
+  // merger never sees ring 2's backlog. Nodes 2 and 3 stall on ring 1
+  // whenever ring 2 decides a value; only their MsgSkipDemand to node 1
+  // gets ring 1 skipped before its next Delta tick.
+  build_fig2c(2000, /*node1_learns_ring2=*/false);
+  env_.sim().run_for(from_millis(50));
+  ASSERT_TRUE(env_.process_as<TestNode>(1)->handler(1)->is_coordinator());
+  for (int i = 0; i < 20; ++i) {
+    send_at(4, 2, "r2-" + std::to_string(i));
+    env_.sim().run_for(from_micros(7300));
+  }
+  env_.sim().run_for(from_millis(100));
+  for (ProcessId n : {2, 3}) {
+    EXPECT_LT(max_latency_at(n), kDelta / 4) << "node " << n;
+  }
+  EXPECT_TRUE(delivered_at(1).empty()) << "node 1 delivers ring 1 only";
+}
+
+TEST_F(MultiRingTest, BurstAboveLambdaLeavesNoLastingLag) {
+  // 400 values at once is 200 ms of lambda: ring 1 gets 400 instances ahead
+  // of ring 2, whose rate leveling only ever adds lambda's worth per Delta.
+  // Timer skips alone keep that lag forever; demand skips close it.
+  build_fig2c();
+  env_.sim().run_for(from_millis(50));
+  for (int i = 0; i < 400; ++i) {
+    env_.process_as<TestNode>(2)->multicast(1, Payload("b" + std::to_string(i)));
+  }
+  env_.sim().run_for(from_millis(300));
+  ASSERT_EQ(delivered_at(1).size(), 400u);
+  for (int i = 0; i < 20; ++i) {
+    send_at(2, 1, "after" + std::to_string(i));
+    env_.sim().run_for(from_micros(7300));
+  }
+  env_.sim().run_for(from_millis(100));
+  for (ProcessId n : {1, 2, 3}) {
+    EXPECT_LT(max_latency_at(n), kDelta / 4) << "node " << n;
+  }
 }
 
 TEST_F(MultiRingTest, CrossGroupDeliveryRelationIsAcyclic) {

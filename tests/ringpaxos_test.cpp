@@ -10,6 +10,7 @@
 
 #include "coord/registry.hpp"
 #include "multiring/node.hpp"
+#include "ringpaxos/messages.hpp"
 #include "sim/env.hpp"
 
 namespace mrp {
@@ -39,13 +40,16 @@ class TestNode : public multiring::MultiRingNode {
 
 class RingPaxosTest : public ::testing::Test {
  protected:
+  /// Nodes 1..n_nodes in ring order; the first `n_acceptors` of them
+  /// (all by default) are acceptors, the rest learners only.
   void build_ring(int n_nodes, ringpaxos::RingParams params,
-                  GroupId ring = 0) {
+                  GroupId ring = 0, int n_acceptors = -1) {
+    if (n_acceptors < 0) n_acceptors = n_nodes;
     coord::RingConfig cfg;
     cfg.ring = ring;
     for (int i = 0; i < n_nodes; ++i) {
       cfg.order.push_back(i + 1);
-      cfg.acceptors.insert(i + 1);
+      if (i < n_acceptors) cfg.acceptors.insert(i + 1);
     }
     registry_->create_ring(cfg);
 
@@ -270,6 +274,157 @@ TEST_F(RingPaxosTest, WindowBackpressureQueuesProposals) {
   }
   env_.sim().run_for(from_millis(1000));
   EXPECT_EQ(delivered_at(1).size(), 50u);
+}
+
+TEST_F(RingPaxosTest, PostQuorumAcceptorDoesNotLog) {
+  // Ring 1 -> 2 -> 3 -> 4, acceptors {1, 2, 3} (quorum 2), node 4 a learner.
+  // Coordinator 1 and acceptor 2 form every Phase 2's quorum, so acceptor 3
+  // sees each one already decided: it caches and forwards the value but
+  // neither logs nor votes. Every decided value is still in a quorum of
+  // logs, which is what retransmission serves a lagging learner from.
+  build_ring(4, {}, 0, /*n_acceptors=*/3);
+  env_.sim().run_for(from_millis(10));
+  ASSERT_TRUE(env_.process_as<TestNode>(1)->handler(0)->is_coordinator());
+  int sent = 0;
+  auto send = [&](int count, TimeNs gap) {
+    for (int i = 0; i < count; ++i) {
+      env_.process_as<TestNode>(2)->multicast(
+          0, Payload("q" + std::to_string(sent++)));
+      env_.sim().run_for(gap);
+    }
+  };
+  send(10, from_millis(1));
+  env_.sim().run_for(from_millis(200));
+  // The learner drops everything decided while it is down, then catches up
+  // by retransmission once fresh decisions show it the gap.
+  env_.crash(4);
+  env_.sim().run_for(from_millis(300));
+  send(10, from_millis(1));
+  env_.sim().run_for(from_millis(200));
+  env_.recover(4);
+  const std::size_t before_recovery = delivered_at(4).size();
+  send(10, from_millis(20));
+  env_.sim().run_for(from_millis(1000));
+
+  const auto d1 = delivered_at(1);
+  ASSERT_EQ(d1.size(), static_cast<std::size_t>(sent));
+  for (ProcessId n : {1, 2}) {
+    EXPECT_GE(env_.process_as<TestNode>(n)->handler(0)->log()->record_count(),
+              static_cast<std::size_t>(sent))
+        << "quorum acceptor " << n << " must log every decided value";
+  }
+  EXPECT_LT(env_.process_as<TestNode>(3)->handler(0)->log()->record_count(),
+            static_cast<std::size_t>(sent))
+      << "the acceptor past the quorum logged decided values";
+
+  // The recovered learner re-delivers the whole stream from instance 0, in
+  // the order every other learner delivered it.
+  const auto d4 = delivered_at(4);
+  ASSERT_EQ(d4.size() - before_recovery, d1.size());
+  for (std::size_t i = 0; i < d1.size(); ++i) {
+    EXPECT_EQ(d4[before_recovery + i].payload, d1[i].payload) << "at " << i;
+    EXPECT_EQ(d4[before_recovery + i].instance, d1[i].instance) << "at " << i;
+  }
+  EXPECT_GT(env_.process_as<TestNode>(4)->handler(0)->retransmissions(), 0u);
+}
+
+/// Drives retransmission and log-sync catch-up against one acceptor the way
+/// a lagging learner and a joining acceptor do, chasing every chunk to the
+/// end, and records the size of each reply.
+class CatchupProbe final : public runtime::Node {
+ public:
+  CatchupProbe(sim::Env& env, ProcessId id)
+      : runtime::Node(env.runtime_for(id)) {}
+
+  void start(ProcessId source, InstanceId hi) {
+    source_ = source;
+    hi_ = hi;
+    request_retransmission(0);
+    request_log_sync(0);
+  }
+
+  void on_message(ProcessId, const runtime::Message& m) override {
+    if (m.kind() == ringpaxos::kMsgRetransmitReply) {
+      const auto& r = runtime::msg_cast<ringpaxos::MsgRetransmitReply>(m);
+      retransmit_sizes.push_back(r.wire_size());
+      for (const auto& [inst, v] : r.decided) retransmitted.push_back(inst);
+      if (!r.decided.empty() && r.decided.back().first + 1 < hi_) {
+        request_retransmission(r.decided.back().first + 1);
+      }
+    } else if (m.kind() == ringpaxos::kMsgLogSyncReply) {
+      const auto& r = runtime::msg_cast<ringpaxos::MsgLogSyncReply>(m);
+      log_sync_sizes.push_back(r.wire_size());
+      for (const paxos::Promise& p : r.records) synced.push_back(p.instance);
+      if (!r.done) request_log_sync(r.next);
+      log_sync_done = r.done;
+    }
+  }
+
+  std::vector<std::size_t> retransmit_sizes, log_sync_sizes;
+  std::vector<InstanceId> retransmitted, synced;
+  bool log_sync_done = false;
+
+ private:
+  void request_retransmission(InstanceId lo) {
+    auto req = std::make_shared<ringpaxos::MsgRetransmitReq>();
+    req->ring = 0;
+    req->lo = lo;
+    req->hi = hi_;
+    send(source_, req);
+  }
+  void request_log_sync(InstanceId from) {
+    auto req = std::make_shared<ringpaxos::MsgLogSyncReq>();
+    req->ring = 0;
+    req->seq = 1;
+    req->from = from;
+    send(source_, req);
+  }
+
+  ProcessId source_ = kNoProcess;
+  InstanceId hi_ = 0;
+};
+
+TEST_F(RingPaxosTest, CatchupRepliesStayUnderByteBudget) {
+  // 20,000 decided instances of 32 KiB (~640 MiB of log) fit the default
+  // max_retransmit_instances, so the count bound alone would put the whole
+  // log in one reply, far above the real transport's 64 MiB frame limit.
+  // The byte budget splits it into chunks of a few MiB instead.
+  constexpr int kInstances = 20'000;
+  constexpr std::size_t kFrameLimit = 64u << 20;
+  std::size_t delivered = 0;
+  *sink_ = [&delivered](ProcessId n, GroupId, InstanceId, const Payload&) {
+    if (n == 1) ++delivered;  // the payloads themselves are not copied
+  };
+  build_ring(3, {});
+  env_.sim().run_for(from_millis(10));
+  const Payload big(Bytes(32 * 1024, 0x5a));  // one shared buffer
+  for (int batch = 0; batch < kInstances / 1000; ++batch) {
+    for (int i = 0; i < 1000; ++i) {
+      env_.process_as<TestNode>(1)->multicast(0, big);
+    }
+    env_.sim().run_for(from_millis(100));
+  }
+  env_.sim().run_for(from_seconds(2));
+  ASSERT_EQ(delivered, static_cast<std::size_t>(kInstances));
+
+  auto* probe = env_.spawn<CatchupProbe>(99);
+  probe->start(/*source=*/2, kInstances);
+  env_.sim().run_for(from_seconds(30));
+
+  // Every instance exactly once, in order, through both paths.
+  ASSERT_EQ(probe->retransmitted.size(), static_cast<std::size_t>(kInstances));
+  ASSERT_TRUE(probe->log_sync_done);
+  ASSERT_EQ(probe->synced.size(), static_cast<std::size_t>(kInstances));
+  for (int i = 0; i < kInstances; ++i) {
+    ASSERT_EQ(probe->retransmitted[static_cast<std::size_t>(i)],
+              static_cast<InstanceId>(i));
+    ASSERT_EQ(probe->synced[static_cast<std::size_t>(i)],
+              static_cast<InstanceId>(i));
+  }
+  for (const auto* sizes : {&probe->retransmit_sizes, &probe->log_sync_sizes}) {
+    EXPECT_GT(sizes->size(), 10u) << "the log was not split into chunks";
+    for (std::size_t s : *sizes) EXPECT_LT(s, kFrameLimit / 4);
+  }
 }
 
 }  // namespace

@@ -477,6 +477,39 @@ TEST(ThreadRuntimeStableTest, FileBackedSlotSurvivesRestart) {
   fs::remove_all(dir);
 }
 
+// The demand-skip message survives the wire codec field by field, and the
+// decoder consumes exactly the bytes the encoder wrote.
+TEST(WireCodecTest, SkipDemandRoundTrips) {
+  ringpaxos::MsgSkipDemand m;
+  m.ring = 7;
+  m.ttl = 3;
+  m.upto = (InstanceId{1} << 40) + 42;
+  codec::Writer w;
+  ASSERT_TRUE(net::wire_encode(w, m));
+  codec::Reader r(w.buffer());
+  const runtime::MessagePtr out = net::wire_decode(ringpaxos::kMsgSkipDemand, r);
+  ASSERT_NE(out, nullptr);
+  EXPECT_NO_THROW(r.expect_done());
+  ASSERT_EQ(out->kind(), ringpaxos::kMsgSkipDemand);
+  const auto& d = runtime::msg_cast<ringpaxos::MsgSkipDemand>(*out);
+  EXPECT_EQ(d.ring, 7);
+  EXPECT_EQ(d.ttl, 3);
+  EXPECT_EQ(d.upto, m.upto);
+}
+
+// The event loop's epoll timeout: whole milliseconds rounded up (a 5 ms
+// timer waits 5 ms, not 6), zero once due, and never above 200 ms.
+TEST(ThreadRuntimeWaitTimeoutTest, RoundsUpAndCaps) {
+  EXPECT_EQ(runtime::wait_timeout_ms(0), 0);
+  EXPECT_EQ(runtime::wait_timeout_ms(-3 * kMillisecond), 0);
+  EXPECT_EQ(runtime::wait_timeout_ms(1), 1);
+  EXPECT_EQ(runtime::wait_timeout_ms(5 * kMillisecond), 5);
+  EXPECT_EQ(runtime::wait_timeout_ms(4 * kMillisecond + 1), 5);
+  EXPECT_EQ(runtime::wait_timeout_ms(200 * kMillisecond), 200);
+  EXPECT_EQ(runtime::wait_timeout_ms(201 * kMillisecond), 200);
+  EXPECT_EQ(runtime::wait_timeout_ms(30 * kSecond), 200);
+}
+
 // Counts how many times the wire codec actually serializes a Phase 2 body.
 // WireCodec carries plain function pointers, so the counter is a global.
 std::atomic<std::uint64_t> g_phase2_encodes{0};

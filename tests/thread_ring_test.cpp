@@ -8,12 +8,15 @@
 // fig11_realnet covers throughput/latency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "coord/registry.hpp"
 #include "net/wire.hpp"
@@ -232,6 +235,98 @@ TEST_F(ThreadRingTest, AtomicMultiGroupOverLoopbackTcp) {
     });
   }
   cluster.stop();
+}
+
+TEST_F(ThreadRingTest, TwoRingMergeDoesNotWaitForDelta) {
+  // Two rings with rate leveling on a long Delta; every command goes to
+  // ring 0 and ring 1 stays idle. Each command leaves the merge stalled on
+  // ring 1 until ring 1 decides more instances: waiting for its next Delta
+  // tick costs a closed-loop client nearly a whole Delta per command, a
+  // demand-driven skip one ring pass. The margin below leaves room for
+  // sanitizer builds. Exactly-once execution holds throughout.
+  static constexpr GroupId kIdleRing = 1;
+  static constexpr TimeNs kDelta = 100 * kMillisecond;
+  std::mutex mu;  // guards latencies (filled on the client's loop thread)
+  std::vector<TimeNs> latencies;
+  runtime::ThreadCluster cluster(cluster_options());
+  coord::Registry registry(cluster.add_oracle(coord::kRegistrySender),
+                           50 * kMillisecond);
+  for (GroupId g : {kRing, kIdleRing}) {
+    coord::RingConfig cfg;
+    cfg.ring = g;
+    cfg.order = {1, 2, 3};
+    cfg.acceptors = {1, 2, 3};
+    registry.create_ring(cfg);
+  }
+  ringpaxos::RingParams params;
+  params.lambda = 2000;
+  params.skip_interval = kDelta;
+  multiring::NodeConfig node_cfg;
+  node_cfg.rings.push_back(multiring::RingSub{kRing, params, true});
+  node_cfg.rings.push_back(multiring::RingSub{kIdleRing, params, true});
+  for (ProcessId r : {1, 2, 3}) {
+    cluster.add_local(r, [&registry, node_cfg](runtime::Runtime& rt) {
+      return std::make_unique<smr::ReplicaNode>(
+          rt, &registry, node_cfg,
+          smr::StateMachineFactory([](runtime::Runtime&, ProcessId) {
+            return std::make_unique<CounterSm>();
+          }),
+          smr::ReplicaOptions{});
+    });
+  }
+
+  static constexpr int kTarget = 40;
+  std::atomic<int> done{0};
+  cluster.add_local(kClient, [&](runtime::Runtime& rt) {
+    smr::ClientNode::Options opts;
+    opts.workers = 1;
+    opts.retry_timeout = kSecond;
+    return std::make_unique<smr::ClientNode>(
+        rt, opts,
+        smr::ClientNode::NextFn(
+            [n = 0](std::uint32_t) mutable -> std::optional<smr::Request> {
+              if (n++ >= kTarget) return std::nullopt;
+              return smr::Request::single(kRing, {1, 2, 3}, to_bytes("inc"));
+            }),
+        smr::ClientNode::DoneFn([&](const smr::Completion& c) {
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            latencies.push_back(c.latency);
+          }
+          done.fetch_add(1);
+        }));
+  });
+
+  cluster.start();
+  ASSERT_TRUE(wait_for([&done] { return done.load() >= kTarget; }, 60))
+      << "two-ring merge stalled over loopback TCP: " << done.load() << "/"
+      << kTarget << " completions";
+  for (ProcessId r : {1, 2, 3}) {
+    ASSERT_TRUE(wait_for(
+        [&cluster, r] {
+          std::int64_t v = 0;
+          cluster.call(r, [&v](runtime::Node* n) {
+            auto& replica = dynamic_cast<smr::ReplicaNode&>(*n);
+            v = dynamic_cast<CounterSm&>(replica.state_machine()).value();
+          });
+          return v >= kTarget;
+        },
+        30))
+        << "replica " << r << " did not converge";
+    cluster.call(r, [r](runtime::Node* n) {
+      auto& replica = dynamic_cast<smr::ReplicaNode&>(*n);
+      EXPECT_EQ(dynamic_cast<CounterSm&>(replica.state_machine()).value(),
+                kTarget)
+          << "replica " << r << " over-executed (dedup broken)";
+    });
+  }
+  cluster.stop();
+
+  std::lock_guard<std::mutex> lock(mu);
+  ASSERT_EQ(latencies.size(), static_cast<std::size_t>(kTarget));
+  std::sort(latencies.begin(), latencies.end());
+  EXPECT_LT(latencies[latencies.size() / 2], kDelta / 5)
+      << "median command latency waits for the idle ring's Delta tick";
 }
 
 TEST_F(ThreadRingTest, AutoHealAfterHardKillOverLoopbackTcp) {
