@@ -199,7 +199,11 @@ std::optional<DeterministicMerger::Demand> DeterministicMerger::demand()
     backlog = std::max<std::uint64_t>(backlog, gs.next - merged);
   }
   if (backlog == 0) return std::nullopt;
-  return Demand{groups_[cursor_], (backlog + m_ - 1) / m_ * m_};
+  // The stalled group finishes its current turn, then takes one more full
+  // turn per further M instances of the largest backlog (at a round
+  // boundary: the backlog rounded up to M).
+  const std::uint64_t turns = (backlog + m_ - 1) / m_;
+  return Demand{groups_[cursor_], (m_ - consumed_) + (turns - 1) * m_};
 }
 
 void DeterministicMerger::pause() { paused_ = true; }

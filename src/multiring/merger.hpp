@@ -128,9 +128,11 @@ class DeterministicMerger {
   };
   /// Demand-driven skipping (Mencius-style): reports the group at the cursor
   /// when it has nothing buffered, the merger is not paused, and other
-  /// active groups hold decided-but-unmerged instances. `owed` is the
-  /// largest such backlog rounded up to M — enough instances from the
-  /// stalled group to let every peer deliver its backlog.
+  /// active groups hold decided-but-unmerged instances. `owed` is just
+  /// enough instances from the stalled group to let every peer deliver its
+  /// backlog: the rest of its current turn plus one full turn per further
+  /// M instances of the largest backlog (at a round boundary, the largest
+  /// backlog rounded up to M).
   std::optional<Demand> demand() const;
 
  private:

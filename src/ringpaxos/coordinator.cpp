@@ -66,6 +66,7 @@ void RingHandler::resign_coordinator() {
   }
   coord_.pending.clear();
   coord_.inflight.clear();
+  coord_.demanded_upto = 0;
 }
 
 void RingHandler::handle_phase1a(ProcessId from, const MsgPhase1A& m) {
@@ -174,6 +175,7 @@ void RingHandler::maybe_finish_phase1() {
   }
   coord_.next_instance = std::max(coord_.next_instance, pos);
   drain_pending();
+  skip_on_demand();
 }
 
 void RingHandler::remember_id(const ValueId& id) {
@@ -238,7 +240,10 @@ void RingHandler::drain_pending() {
 
 void RingHandler::start_instance(InstanceId instance, paxos::Value v) {
   MRP_CHECK(coord_.active);
-  if (!v.is_skip()) ++coord_.interval_value_instances;
+  if (!v.is_skip()) {
+    ++coord_.interval_value_instances;
+    coord_.value_frontier = std::max(coord_.value_frontier, instance + 1);
+  }
   coord_.inflight.insert_or_assign(instance, Inflight{v, host_.now()});
   if (coord_.inflight.size() > coord_.inflight_hwm) {
     coord_.inflight_hwm = coord_.inflight.size();
@@ -278,6 +283,7 @@ void RingHandler::coordinator_on_decision(InstanceId instance,
   // pipeline may deepen again (up to the configured maximum).
   if (coord_.window < params_.window) ++coord_.window;
   drain_pending();
+  skip_on_demand();
 }
 
 void RingHandler::rate_level_tick() {
@@ -307,12 +313,25 @@ void RingHandler::request_skip(InstanceId upto) {
     host_.send(view_.coordinator, std::move(m));
     return;
   }
-  if (!coord_.active || !coord_.phase1_done || upto <= coord_.next_instance ||
-      !coord_.pending.empty() || coord_.inflight.size() >= coord_.window) {
-    return;  // stale demand, or the ring is busy and will advance anyway
+  if (!coord_.active) return;
+  coord_.demanded_upto = std::max(coord_.demanded_upto, upto);
+  skip_on_demand();
+}
+
+void RingHandler::skip_on_demand() {
+  // Only a ring without values pending or in flight skips (skip ranges may
+  // still be in flight): values advance the ring anyway, and values about to
+  // arrive would otherwise land behind the skip. The demand waits here until
+  // the ring's values are decided (coordinator_on_decision).
+  const bool values_in_flight = coord_.value_frontier > next_delivery_;
+  if (!coord_.phase1_done || !coord_.pending.empty() || values_in_flight ||
+      coord_.inflight.size() >= coord_.window ||
+      coord_.demanded_upto <= coord_.next_instance) {
+    return;
   }
-  const auto count = static_cast<std::uint32_t>(std::min<InstanceId>(
-      upto - coord_.next_instance, std::numeric_limits<std::uint32_t>::max()));
+  const auto count = static_cast<std::uint32_t>(
+      std::min<InstanceId>(coord_.demanded_upto - coord_.next_instance,
+                           std::numeric_limits<std::uint32_t>::max()));
   // Demand skips count toward the rate-leveling interval: the Delta tick
   // only tops up what demand did not already cover.
   coord_.interval_value_instances += count;

@@ -150,10 +150,11 @@ class RingHandler {
   /// Demand-driven skip: a learner's merge is stalled on this ring while
   /// other rings hold decided instances, so the ring should skip up to
   /// (excluding) `upto` now instead of at the next rate-leveling tick. The
-  /// coordinator proposes one skip range ending at `upto` when its pipeline
-  /// is idle (pending empty, window not full); any other member sends
-  /// MsgSkipDemand to the coordinator, once per higher `upto`. Stale demands
-  /// are no-ops, and nothing happens with rate leveling off (lambda == 0).
+  /// coordinator records the highest demand and proposes one skip range
+  /// ending there as soon as no value is pending or in flight; any other
+  /// member sends MsgSkipDemand to the coordinator, once per higher `upto`.
+  /// Stale demands are no-ops, and nothing happens with rate leveling off
+  /// (lambda == 0).
   void request_skip(InstanceId upto);
 
   /// Registry tells this (future) acceptor to catch up from `sources`'
@@ -196,6 +197,8 @@ class RingHandler {
     std::unordered_set<ValueId, ValueIdHash> known_ids;  // dedup (bounded)
     std::deque<ValueId> known_order;
     std::uint64_t interval_value_instances = 0;  // rate-leveling counter
+    InstanceId demanded_upto = 0;   // highest skip demand not yet served
+    InstanceId value_frontier = 0;  // one past the last value instance started
   };
 
   struct OwnProposal {
@@ -242,6 +245,7 @@ class RingHandler {
   void start_instance(InstanceId instance, paxos::Value v);
   void coordinator_on_decision(InstanceId instance, const paxos::Value& v);
   void rate_level_tick();
+  void skip_on_demand();
   void retry_tick();
   void remember_id(const ValueId& id);
 

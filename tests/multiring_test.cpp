@@ -321,6 +321,28 @@ TEST(MergerDemand, OwedRoundsUpToTheMergeWindow) {
   EXPECT_EQ(m.delivered(), 5u);
 }
 
+TEST(MergerDemand, MidTurnOwesOnlyTheRestOfTheTurn) {
+  DeterministicMerger m({1, 2}, 4, [](GroupId, InstanceId, const paxos::Value&) {});
+  // Group 1 has used one of its four instances this turn; group 2 holds
+  // three. Three more from group 1 end its turn and let group 2 deliver;
+  // a whole M would push group 1 one instance into its next turn.
+  m.on_decision(1, 0, val("a"));
+  for (InstanceId i = 0; i < 3; ++i) m.on_decision(2, i, val("x"));
+  auto d = m.demand();
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->group, 1);
+  EXPECT_EQ(d->owed, 3u);
+  m.on_decision(1, 1, paxos::Value::skip({1, 1}, 3));
+  EXPECT_EQ(m.delivered(), 4u);
+  EXPECT_EQ(m.waiting_on(), 2);
+  // Five more from group 2 (eight in all) need group 1's whole next turn.
+  for (InstanceId i = 3; i < 8; ++i) m.on_decision(2, i, val("y"));
+  d = m.demand();
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(d->group, 1);
+  EXPECT_EQ(d->owed, 4u);
+}
+
 // --- end-to-end multi-ring tests ---
 
 struct Delivery {
