@@ -6,9 +6,10 @@
 //     but coarsens interleaving — latency grows once M exceeds the
 //     per-window backlog.
 // (b) lambda sweep: one loaded ring + one idle ring. Without rate leveling
-//     (lambda=0) the merge stalls outright; small lambda paces delivery of
-//     the *loaded* ring at the idle ring's skip rate; ample lambda makes
-//     the idle ring invisible.
+//     (lambda=0) the merge stalls outright. With it, the stalled merger asks
+//     the idle ring for skips on demand, so any lambda > 0 makes the idle
+//     ring invisible (timer skips alone paced the loaded ring at the idle
+//     ring's skip rate).
 #include <cstdio>
 #include <memory>
 #include <vector>

@@ -578,6 +578,30 @@ TEST_F(MultiRingTest, NonCoordinatorLearnerDemandsSkipOverTheWire) {
   EXPECT_TRUE(delivered_at(1).empty()) << "node 1 delivers ring 1 only";
 }
 
+TEST_F(MultiRingTest, DemandMadeWhileAValueIsInFlightIsServedOnItsDecision) {
+  // Node 1 coordinates both rings but delivers ring 1 only. Each round,
+  // three ring-2 values stall nodes 2 and 3 on ring 1, and their demand
+  // reaches node 1 while its own ring-1 value is still in flight, so node 1
+  // must not skip yet. Deciding that value leaves the demand unchanged, so
+  // the learners do not repeat it: node 1 keeps it and serves it on the
+  // decision, instead of leaving the merge to the next Delta tick.
+  build_fig2c(2000, /*node1_learns_ring2=*/false);
+  env_.sim().run_for(from_millis(50));
+  for (int round = 0; round < 10; ++round) {
+    for (int j = 0; j < 3; ++j) {
+      send_at(4, 2, "d" + std::to_string(round) + "-" + std::to_string(j));
+    }
+    env_.sim().run_for(from_micros(100));
+    env_.process_as<TestNode>(1)->multicast(
+        1, Payload("e" + std::to_string(round)));
+    env_.sim().run_for(from_micros(7200));
+  }
+  env_.sim().run_for(from_millis(100));
+  for (ProcessId n : {2, 3}) {
+    EXPECT_LT(max_latency_at(n), kDelta / 4) << "node " << n;
+  }
+}
+
 TEST_F(MultiRingTest, BurstAboveLambdaLeavesNoLastingLag) {
   // 400 values at once is 200 ms of lambda: ring 1 gets 400 instances ahead
   // of ring 2, whose rate leveling only ever adds lambda's worth per Delta.
