@@ -67,6 +67,7 @@ void RingHandler::resign_coordinator() {
   coord_.pending.clear();
   coord_.inflight.clear();
   coord_.demanded_upto = 0;
+  coord_.demand_hold = 0;
 }
 
 void RingHandler::handle_phase1a(ProcessId from, const MsgPhase1A& m) {
@@ -242,7 +243,7 @@ void RingHandler::start_instance(InstanceId instance, paxos::Value v) {
   MRP_CHECK(coord_.active);
   if (!v.is_skip()) {
     ++coord_.interval_value_instances;
-    coord_.value_frontier = std::max(coord_.value_frontier, instance + 1);
+    coord_.demand_hold = std::max(coord_.demand_hold, instance + 1);
   }
   coord_.inflight.insert_or_assign(instance, Inflight{v, host_.now()});
   if (coord_.inflight.size() > coord_.inflight_hwm) {
@@ -319,12 +320,15 @@ void RingHandler::request_skip(InstanceId upto) {
 }
 
 void RingHandler::skip_on_demand() {
-  // Only a ring without values pending or in flight skips (skip ranges may
-  // still be in flight): values advance the ring anyway, and values about to
-  // arrive would otherwise land behind the skip. The demand waits here until
-  // the ring's values are decided (coordinator_on_decision).
-  const bool values_in_flight = coord_.value_frontier > next_delivery_;
-  if (!coord_.phase1_done || !coord_.pending.empty() || values_in_flight ||
+  // Only a ring without values pending or in flight skips: values advance
+  // the ring anyway, and values about to arrive would otherwise land behind
+  // the skip. One demand skip is in flight at a time, so the demands that
+  // arrive meanwhile are served together once it is delivered: a loaded peer
+  // ring costs this ring one skip per ring pass, not one per learner and
+  // event batch. A held demand is served on a later decision
+  // (coordinator_on_decision).
+  if (!coord_.phase1_done || !coord_.pending.empty() ||
+      coord_.demand_hold > next_delivery_ ||
       coord_.inflight.size() >= coord_.window ||
       coord_.demanded_upto <= coord_.next_instance) {
     return;
@@ -335,6 +339,7 @@ void RingHandler::skip_on_demand() {
   // Demand skips count toward the rate-leveling interval: the Delta tick
   // only tops up what demand did not already cover.
   coord_.interval_value_instances += count;
+  coord_.demand_hold = coord_.next_instance + count;
   coordinator_enqueue(paxos::Value::skip(next_value_id(), count));
 }
 

@@ -151,8 +151,9 @@ class RingHandler {
   /// other rings hold decided instances, so the ring should skip up to
   /// (excluding) `upto` now instead of at the next rate-leveling tick. The
   /// coordinator records the highest demand and proposes one skip range
-  /// ending there as soon as no value is pending or in flight; any other
-  /// member sends MsgSkipDemand to the coordinator, once per higher `upto`.
+  /// ending there once no value is pending or in flight and its previous
+  /// demand skip is delivered; any other member sends MsgSkipDemand to the
+  /// coordinator, once per higher `upto`.
   /// Stale demands are no-ops, and nothing happens with rate leveling off
   /// (lambda == 0).
   void request_skip(InstanceId upto);
@@ -197,8 +198,8 @@ class RingHandler {
     std::unordered_set<ValueId, ValueIdHash> known_ids;  // dedup (bounded)
     std::deque<ValueId> known_order;
     std::uint64_t interval_value_instances = 0;  // rate-leveling counter
-    InstanceId demanded_upto = 0;   // highest skip demand not yet served
-    InstanceId value_frontier = 0;  // one past the last value instance started
+    InstanceId demanded_upto = 0;  // highest skip demand not yet served
+    InstanceId demand_hold = 0;  // demand skips wait until this is delivered
   };
 
   struct OwnProposal {

@@ -602,6 +602,28 @@ TEST_F(MultiRingTest, DemandMadeWhileAValueIsInFlightIsServedOnItsDecision) {
   }
 }
 
+TEST_F(MultiRingTest, LoadedRingCostsItsIdlePeerOneDemandSkipPerPass) {
+  // Ring 1 decides a value every 20 us while ring 2 stays idle, so after
+  // each ring-1 decision the learners' merges stall on ring 2 and demand a
+  // skip. Node 1, ring 2's coordinator, keeps one demand skip in flight and
+  // serves the demands that arrive meanwhile together, so ring 2 runs about
+  // one skip per ring pass instead of one per ring-1 decision.
+  build_fig2c();
+  env_.sim().run_for(from_millis(50));
+  const ringpaxos::RingHandler* ring2 =
+      env_.process_as<TestNode>(1)->handler(2);
+  const std::uint64_t skips_before = ring2->skip_count();
+  constexpr int kValues = 1000;
+  for (int i = 0; i < kValues; ++i) {
+    env_.process_as<TestNode>((i % 3) + 1)->multicast(
+        1, Payload("v" + std::to_string(i)));
+    env_.sim().run_for(from_micros(20));
+  }
+  env_.sim().run_for(from_millis(100));
+  ASSERT_EQ(delivered_at(2).size(), static_cast<std::size_t>(kValues));
+  EXPECT_LT(ring2->skip_count() - skips_before, kValues / 4u);
+}
+
 TEST_F(MultiRingTest, BurstAboveLambdaLeavesNoLastingLag) {
   // 400 values at once is 200 ms of lambda: ring 1 gets 400 instances ahead
   // of ring 2, whose rate leveling only ever adds lambda's worth per Delta.
