@@ -67,7 +67,10 @@ void ClientNode::issue_request(std::uint32_t worker, Request req,
 
   Outstanding& o = workers_[worker];
   o.request = std::move(req);
-  o.seq = ++next_seq_;
+  const std::uint32_t set = set_index(o);
+  if (o.session_seq.size() <= set) o.session_seq.resize(set + 1, 0);
+  o.session = make_session(id(), worker, set);
+  o.seq = ++o.session_seq[set];
   o.issued_at = issued_at;
   o.results.clear();
   o.target_cursor.assign(o.request.sends.size(), 0);
@@ -82,23 +85,31 @@ void ClientNode::issue_request(std::uint32_t worker, Request req,
   for (std::size_t i = 0; i < o.request.sends.size(); ++i) {
     send_command(worker, i);
   }
-  arm_retry(worker, o.seq);
+  queue_first_check(worker);
 }
 
-void ClientNode::arm_retry(std::uint32_t worker, std::uint64_t seq) {
-  // The first check fires after exactly retry_timeout; once a request has
-  // been retried, later checks back off exponentially with jitter so a
-  // congested system is not hammered at a fixed period.
-  const Outstanding& o = workers_[worker];
-  const TimeNs delay =
-      o.retry_attempts == 0
-          ? options_.retry_timeout
-          : jittered_backoff(
-                o.retry_attempts,
-                BackoffParams{options_.retry_timeout,
-                              8 * options_.retry_timeout, 0.25},
-                rng());
-  after(delay, [this, worker, seq] { retry_check(worker, seq); });
+std::uint32_t ClientNode::set_index(Outstanding& o) {
+  // The destination set is the sorted group set of the request's sends.
+  // Single-send requests (nearly all) find theirs without allocating.
+  const auto next = static_cast<std::uint32_t>(single_sets_.size() +
+                                               multi_sets_.size());
+  std::uint32_t index = 0;
+  bool added = false;
+  if (o.request.sends.size() == 1) {
+    auto [it, inserted] =
+        single_sets_.try_emplace(o.request.sends.front().group, next);
+    index = it->second;
+    added = inserted;
+  } else {
+    o.groups = o.request.group_set();
+    auto [it, inserted] = multi_sets_.try_emplace(o.groups, next);
+    index = it->second;
+    added = inserted;
+  }
+  MRP_CHECK_MSG(!added || next < kSessionSets,
+                "client addresses more destination group sets than a "
+                "session id can number");
+  return index;
 }
 
 void ClientNode::send_command(std::uint32_t worker, std::size_t send_index) {
@@ -110,34 +121,103 @@ void ClientNode::send_command(std::uint32_t worker, std::size_t send_index) {
 
   auto msg = std::make_shared<MsgClientRequest>();
   msg->group = s.group;
-  msg->command.session = make_session(id(), worker);
+  msg->command.session = o.session;
   msg->command.seq = o.seq;
   msg->command.op = o.request.op;
   if (o.request.atomic && o.request.sends.size() > 1) {
     // Atomic multi-group multicast: every copy carries the full addressed
     // set so replicas can gather by (session, seq) and commit once.
-    msg->command.groups = o.request.group_set();
+    msg->command.groups = o.groups;
   }
   send(target, msg);
 }
 
-void ClientNode::retry_check(std::uint32_t worker, std::uint64_t seq) {
+bool ClientNode::is_current(std::uint32_t worker, SessionId session,
+                            std::uint64_t seq) const {
+  const Outstanding& o = workers_[worker];
+  return o.active && o.session == session && o.seq == seq;
+}
+
+void ClientNode::retry(std::uint32_t worker) {
   Outstanding& o = workers_[worker];
-  if (!o.active || o.seq != seq) return;  // completed meanwhile
   ++retries_;
   ++o.retry_attempts;
   for (std::size_t i = 0; i < o.request.sends.size(); ++i) {
     o.target_cursor[i]++;  // rotate to the next candidate proposer
     send_command(worker, i);
   }
-  arm_retry(worker, seq);
+  // Once a request has been retried, later checks back off exponentially
+  // with jitter so a congested system is not hammered at a fixed period.
+  // They are rare, so each gets its own timer.
+  const TimeNs delay = jittered_backoff(
+      o.retry_attempts,
+      BackoffParams{options_.retry_timeout, 8 * options_.retry_timeout, 0.25},
+      rng());
+  after(delay, [this, worker, session = o.session, seq = o.seq] {
+    if (is_current(worker, session, seq)) retry(worker);
+  });
+}
+
+void ClientNode::queue_first_check(std::uint32_t worker) {
+  // The first check fires exactly retry_timeout after issue. now() never
+  // decreases, so the new deadline is the latest and goes at the tail.
+  Outstanding& o = workers_[worker];
+  MRP_CHECK(!o.queued);  // finish() unlinks before any re-issue
+  o.deadline = now() + options_.retry_timeout;
+  o.prev = first_check_tail_;
+  o.next = kNoWorker;
+  o.queued = true;
+  if (first_check_tail_ == kNoWorker) {
+    first_check_head_ = worker;
+  } else {
+    workers_[first_check_tail_].next = worker;
+  }
+  first_check_tail_ = worker;
+  // An armed timer is due at or before every queued deadline; when it
+  // fires it re-arms for the head.
+  if (!first_check_timer_) {
+    first_check_timer_ = true;
+    after(options_.retry_timeout, [this] { on_first_check_timer(); });
+  }
+}
+
+void ClientNode::unqueue_first_check(std::uint32_t worker) {
+  Outstanding& o = workers_[worker];
+  if (!o.queued) return;
+  if (o.prev == kNoWorker) {
+    first_check_head_ = o.next;
+  } else {
+    workers_[o.prev].next = o.next;
+  }
+  if (o.next == kNoWorker) {
+    first_check_tail_ = o.prev;
+  } else {
+    workers_[o.next].prev = o.prev;
+  }
+  o.prev = o.next = kNoWorker;
+  o.queued = false;
+}
+
+void ClientNode::on_first_check_timer() {
+  first_check_timer_ = false;
+  while (first_check_head_ != kNoWorker &&
+         workers_[first_check_head_].deadline <= now()) {
+    const std::uint32_t worker = first_check_head_;
+    unqueue_first_check(worker);
+    retry(worker);  // queued entries are in flight by construction
+  }
+  if (first_check_head_ != kNoWorker) {
+    first_check_timer_ = true;
+    after(workers_[first_check_head_].deadline - now(),
+          [this] { on_first_check_timer(); });
+  }
 }
 
 void ClientNode::handle_busy(const MsgClientBusy& busy) {
   const auto worker = static_cast<std::uint32_t>(busy.session & 0xfffff);
   if (worker >= workers_.size()) return;
+  if (!is_current(worker, busy.session, busy.seq)) return;  // stale pushback
   Outstanding& o = workers_[worker];
-  if (!o.active || busy.seq != o.seq) return;  // stale pushback
   // Requests address each group at most once; find the pushed-back send.
   std::size_t index = o.request.sends.size();
   for (std::size_t i = 0; i < o.request.sends.size(); ++i) {
@@ -153,17 +233,15 @@ void ClientNode::handle_busy(const MsgClientBusy& busy) {
   const TimeNs delay = std::max(
       busy.retry_after,
       jittered_backoff(o.busy_attempts, options_.busy_backoff, rng()));
-  const std::uint64_t seq = o.seq;
-  after(delay, [this, worker, index, seq] {
-    Outstanding& o = workers_[worker];
-    if (!o.active || o.seq != seq) return;
-    send_command(worker, index);
+  after(delay, [this, worker, index, session = o.session, seq = o.seq] {
+    if (is_current(worker, session, seq)) send_command(worker, index);
   });
 }
 
 void ClientNode::finish(std::uint32_t worker) {
   Outstanding& o = workers_[worker];
   o.active = false;
+  unqueue_first_check(worker);
   if (active_ > 0) --active_;
 }
 
@@ -186,8 +264,8 @@ void ClientNode::on_message(ProcessId /*from*/, const runtime::Message& m) {
   const SessionId session = reply.session;
   const auto worker = static_cast<std::uint32_t>(session & 0xfffff);
   if (worker >= workers_.size()) return;
+  if (!is_current(worker, session, reply.seq)) return;  // stale reply
   Outstanding& o = workers_[worker];
-  if (!o.active || reply.seq != o.seq) return;  // stale reply
   // First reply per partition wins.
   if (!o.results.emplace(reply.partition_tag, reply.result).second) return;
   if (o.results.size() < o.request.expected_partitions) return;
@@ -196,8 +274,8 @@ void ClientNode::on_message(ProcessId /*from*/, const runtime::Message& m) {
   const TimeNs latency = now() - o.issued_at;
   Completion c;
   c.worker = worker;
-  c.op = o.request.op;
-  c.results = o.results;
+  c.op = std::move(o.request.op);
+  c.results = std::move(o.results);
   c.issued_at = o.issued_at;
   c.latency = latency;
   if (reroute_) {

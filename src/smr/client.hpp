@@ -7,10 +7,18 @@
 // replicas answer over UDP in the paper), reports the completion, and
 // immediately issues the next request.
 //
+// Sessions: a worker has one session per destination group set it
+// addresses, numbered 1, 2, 3, ... (see make_session). Every request of a
+// session goes to the same groups, so every replica serving the session
+// delivers all of its seqs and its dedup floor advances; a replica's dedup
+// record stays O(1) per session instead of growing with history.
+//
 // Retries: if a send has no reply after retry_timeout, the same command
 // (same session/seq — replicas deduplicate) is re-sent to the next target
 // replica in the send's target list; subsequent retries of the same request
-// back off with deterministic jitter (common/backoff.hpp).
+// back off with deterministic jitter (common/backoff.hpp). The first checks
+// of in-flight requests share one deadline-ordered list and one runtime
+// timer, so a request answered in time leaves no timer behind.
 //
 // Flow control: `max_outstanding` caps the requests in flight across all
 // workers — a worker that wants to issue while the window is full parks
@@ -21,9 +29,10 @@
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
-#include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/backoff.hpp"
@@ -145,8 +154,13 @@ class ClientNode : public runtime::Node {
   void stop() { stopped_ = true; }
 
  private:
+  static constexpr std::uint32_t kNoWorker =
+      std::numeric_limits<std::uint32_t>::max();
+
   struct Outstanding {
     Request request;
+    std::vector<GroupId> groups;  // request.group_set() of a multi-send request
+    SessionId session = 0;  // (client, destination set, worker)
     std::uint64_t seq = 0;  // same seq for all sends of this request
     TimeNs issued_at = 0;
     std::map<int, Bytes> results;
@@ -156,13 +170,25 @@ class ClientNode : public runtime::Node {
     std::uint32_t busy_attempts = 0;    // MsgClientBusy pushbacks, this op
     std::uint32_t retry_attempts = 0;   // timeout retries, this request
     std::uint32_t reroute_attempts = 0; // reroute re-issues, this op
+    /// Last seq issued per destination-set index (this worker's sessions).
+    std::vector<std::uint64_t> session_seq;
+    // Links in the first-check deadline list (see first_check_head_).
+    TimeNs deadline = 0;
+    std::uint32_t prev = kNoWorker;
+    std::uint32_t next = kNoWorker;
+    bool queued = false;
   };
 
   void issue_next(std::uint32_t worker);
   void issue_request(std::uint32_t worker, Request req, TimeNs issued_at);
+  std::uint32_t set_index(Outstanding& o);
   void send_command(std::uint32_t worker, std::size_t send_index);
-  void retry_check(std::uint32_t worker, std::uint64_t seq);
-  void arm_retry(std::uint32_t worker, std::uint64_t seq);
+  bool is_current(std::uint32_t worker, SessionId session,
+                  std::uint64_t seq) const;
+  void retry(std::uint32_t worker);
+  void queue_first_check(std::uint32_t worker);
+  void unqueue_first_check(std::uint32_t worker);
+  void on_first_check_timer();
   void handle_busy(const MsgClientBusy& busy);
   void finish(std::uint32_t worker);
   void maybe_unpark();
@@ -174,7 +200,15 @@ class ClientNode : public runtime::Node {
   std::vector<Outstanding> workers_;
   std::deque<std::uint32_t> parked_;  // workers waiting for a window slot
   std::uint32_t active_ = 0;
-  std::uint64_t next_seq_ = 0;
+  // Destination-set indices, assigned in first-use order (deterministic).
+  std::unordered_map<GroupId, std::uint32_t> single_sets_;
+  std::map<std::vector<GroupId>, std::uint32_t> multi_sets_;
+  // First retry checks of in-flight requests, in deadline order: deadlines
+  // are issue time + retry_timeout, so appending keeps the list sorted. One
+  // runtime timer is armed at or before the head's deadline.
+  std::uint32_t first_check_head_ = kNoWorker;
+  std::uint32_t first_check_tail_ = kNoWorker;
+  bool first_check_timer_ = false;
   std::uint64_t completed_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t reroutes_ = 0;

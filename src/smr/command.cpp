@@ -4,6 +4,9 @@ namespace mrp::smr {
 
 Bytes encode_batch(const Batch& b) {
   codec::Writer w;
+  // wire_size() bounds the encoding from above, so the buffer is allocated
+  // once at about its final size (the acceptor log holds it until trim).
+  w.reserve(b.wire_size());
   w.varint(b.commands.size());
   for (const Command& c : b.commands) {
     w.u64(c.session);

@@ -2,10 +2,13 @@
 // (kind range 300-399).
 //
 // A command is identified by (session, seq): the session encodes the client
-// process and worker thread, and seq increases strictly per session, which
-// makes replica-side duplicate detection exact (a retried command is either
-// the session's most recent command — answered from the reply cache — or
-// older, in which case the client has already moved on).
+// process, the worker thread and the request's destination group set, and
+// seq numbers each session's requests 1, 2, 3, ... without gaps. That makes
+// replica-side duplicate detection exact (a retried command is either the
+// session's most recent command — answered from the reply cache — or older,
+// in which case the client has already moved on) and keeps it small: every
+// replica serving a session delivers all of its seqs, so its executed floor
+// advances instead of remembering each command.
 //
 // Clients batch small commands per group up to a configured byte budget
 // (32 KB in the paper); one multicast value carries one batch.
@@ -26,13 +29,21 @@ constexpr int kMsgClientBusy = 302;
 
 using SessionId = std::uint64_t;
 
-/// Session ids pack (client process, worker index).
-constexpr SessionId make_session(ProcessId client, std::uint32_t worker) {
-  return (static_cast<SessionId>(static_cast<std::uint32_t>(client)) << 20) |
+/// Session ids pack (destination-set index, client process, worker index):
+/// the set index in bits 52-63, the client in bits 20-51 and the worker in
+/// bits 0-19, so `session & 0xfffff` is the worker.
+constexpr std::uint32_t kSessionSets = 1u << 12;
+constexpr SessionId make_session(ProcessId client, std::uint32_t worker,
+                                 std::uint32_t set_index = 0) {
+  return (static_cast<SessionId>(set_index & (kSessionSets - 1)) << 52) |
+         (static_cast<SessionId>(static_cast<std::uint32_t>(client)) << 20) |
          (worker & 0xfffff);
 }
 constexpr ProcessId session_client(SessionId s) {
-  return static_cast<ProcessId>(s >> 20);
+  return static_cast<ProcessId>(static_cast<std::uint32_t>(s >> 20));
+}
+constexpr std::uint32_t session_set(SessionId s) {
+  return static_cast<std::uint32_t>(s >> 52);
 }
 
 struct Command {

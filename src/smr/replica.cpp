@@ -144,6 +144,15 @@ ReplicaNode::AdmissionStats ReplicaNode::admission_stats(GroupId group) const {
   return s;
 }
 
+ReplicaNode::DedupStats ReplicaNode::dedup_stats() const {
+  DedupStats d;
+  d.sessions = sessions_.size();
+  for (const auto& [id, s] : sessions_) {
+    d.above_floor_max = std::max(d.above_floor_max, s.exec_above.size());
+  }
+  return d;
+}
+
 void ReplicaNode::deliver(GroupId group, InstanceId /*instance*/,
                           const Payload& payload) {
   const Batch batch = decode_batch(payload.bytes());

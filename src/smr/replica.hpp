@@ -89,6 +89,14 @@ class ReplicaNode : public multiring::MultiRingNode {
   };
   AdmissionStats admission_stats(GroupId group) const;
 
+  /// Size of the exact session-dedup record: the sessions it tracks and
+  /// the most executed seqs any one of them holds above its floor.
+  struct DedupStats {
+    std::size_t sessions = 0;
+    std::size_t above_floor_max = 0;
+  };
+  DedupStats dedup_stats() const;
+
  protected:
   void on_app_message(ProcessId from, const runtime::Message& m) override;
   void on_trimmed_gap(GroupId group, InstanceId trimmed_to) override;
@@ -111,8 +119,11 @@ class ReplicaNode : public multiring::MultiRingNode {
     // commands out of seq order (a later single-group command overtakes a
     // still-gathering multi-group one). A plain high-watermark would then
     // silently drop the overtaken command, so dedup is a floor (every seq
-    // <= floor executed) plus the sparse set of executed seqs above it —
-    // the set stays tiny because each session has one request in flight.
+    // <= floor executed) plus the sparse set of executed seqs above it.
+    // The set stays tiny: a client session numbers its requests 1, 2, 3,
+    // ... and sends them all to one destination group set, so every
+    // replica serving the session delivers each seq and the floor closes
+    // up behind the few commands a multi-group gather lets overtake.
     std::uint64_t exec_floor = 0;
     std::set<std::uint64_t> exec_above;
     std::uint64_t last_seq = 0;  // highest executed (reply-cache key)

@@ -4,6 +4,7 @@
 // scale-out (live partition split, state transfer, stale-routing retry).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <memory>
 #include <string>
@@ -744,6 +745,64 @@ TEST_F(StoreE2eTest, AtomicMultiOpsAcrossPartitions) {
       }
     }
   }
+}
+
+TEST_F(StoreE2eTest, SessionDedupStaysBoundedAcrossPartitions) {
+  // Two partitions plus the global ring. One client mixes single-key ops on
+  // both partitions, transfers between them and global scans, so each
+  // replica sees only part of every worker's requests. Its exact dedup
+  // record must still close up behind each session instead of holding
+  // every executed seq above a floor that never moves.
+  build(true, RangePartitioner({"m"}).encode(), 2);
+  constexpr std::uint32_t kWorkers = 4;
+  constexpr std::uint64_t kRequests = 5000;
+  std::uint64_t issued = 0;
+  auto* client = env_.spawn<smr::ClientNode>(
+      kClient, smr::ClientNode::Options{kWorkers, 2 * kSecond, 0},
+      smr::ClientNode::NextFn(
+          [&](std::uint32_t) -> std::optional<smr::Request> {
+            if (issued >= kRequests) return std::nullopt;
+            const std::uint64_t i = issued++;
+            const std::string a = "a" + std::to_string(i % 17);
+            const std::string z = "z" + std::to_string(i % 13);
+            switch (i % 10) {
+              case 0:
+              case 1:
+                return client_helper_->read(a);
+              case 2:
+              case 3:
+                return client_helper_->read(z);
+              case 4:
+                return client_helper_->update(a, to_bytes("5"));
+              case 5:
+                return client_helper_->update(z, to_bytes("5"));
+              case 6:
+              case 7:
+                return client_helper_->transfer(a, z, 1);
+              case 8:
+                return client_helper_->transfer(z, a, 1);
+              default:
+                return client_helper_->scan("a", "zz", 0);
+            }
+          }),
+      smr::ClientNode::DoneFn(nullptr));
+
+  std::size_t worst_session = 0;
+  std::size_t most_sessions = 0;
+  for (int step = 0; step < 600 && client->completed() < kRequests; ++step) {
+    env_.sim().run_for(from_millis(50));
+    for (ProcessId pid : deployment_.all_replicas()) {
+      const auto d = env_.process_as<smr::ReplicaNode>(pid)->dedup_stats();
+      worst_session = std::max(worst_session, d.above_floor_max);
+      most_sessions = std::max(most_sessions, d.sessions);
+    }
+  }
+  ASSERT_EQ(client->completed(), kRequests);
+  EXPECT_LE(worst_session, 2u)
+      << "executed seqs pile up above a session's dedup floor";
+  // Per worker: its own partition's single-key session, the transfer
+  // session and the global-ring scan session.
+  EXPECT_LE(most_sessions, 3 * kWorkers);
 }
 
 }  // namespace

@@ -3,8 +3,14 @@
 // batch encoding.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "coord/registry.hpp"
 #include "sim/env.hpp"
@@ -167,6 +173,221 @@ TEST_F(SmrTest, WorkersHaveIndependentSessions) {
             static_cast<std::int64_t>(client->completed()));
 }
 
+// --- Client sessions and retry timing, against stub proposers -------------
+
+/// One MsgClientRequest as a stub proposer received it.
+struct Arrival {
+  ProcessId at = 0;
+  GroupId group = -1;
+  SessionId session = 0;
+  std::uint64_t seq = 0;
+  TimeNs time = 0;
+};
+
+struct StubLog {
+  std::vector<Arrival> arrivals;
+  /// Each arrival's reply delay, or nullopt to withhold the reply.
+  std::function<std::optional<TimeNs>(const Arrival&)> reply_after =
+      [](const Arrival&) { return std::optional<TimeNs>(0); };
+};
+
+/// Records every request and answers it (partition tag = group) after the
+/// delay StubLog::reply_after picks.
+class StubProposer final : public sim::Process {
+ public:
+  StubProposer(sim::Env& env, ProcessId id, StubLog* log)
+      : Process(env, id), log_(log) {}
+
+  void on_message(ProcessId, const runtime::Message& m) override {
+    if (m.kind() != kMsgClientRequest) return;
+    const auto& req = runtime::msg_cast<MsgClientRequest>(m);
+    const Arrival a{id(), req.group, req.command.session, req.command.seq,
+                    now()};
+    log_->arrivals.push_back(a);
+    const std::optional<TimeNs> delay = log_->reply_after(a);
+    if (!delay) return;
+    after(*delay, [this, a] {
+      auto reply = std::make_shared<MsgClientReply>();
+      reply->session = a.session;
+      reply->seq = a.seq;
+      reply->partition_tag = a.group;
+      send(session_client(a.session), reply);
+    });
+  }
+
+ private:
+  StubLog* log_;
+};
+
+class ClientSessionTest : public ::testing::Test {
+ protected:
+  static constexpr ProcessId kClient = 500;
+
+  void SetUp() override {
+    for (ProcessId p : {1, 2, 3}) env_.spawn<StubProposer>(p, &log_);
+  }
+
+  /// One send per group, each answered under the group's partition tag.
+  static Request to_groups(std::vector<GroupId> groups, bool atomic) {
+    Request r;
+    for (GroupId g : groups) r.sends.push_back(Request::Send{g, {1, 2, 3}});
+    r.op = to_bytes("op");
+    r.expected_partitions = groups.size();
+    r.atomic = atomic;
+    return r;
+  }
+
+  sim::Env env_{7};
+  StubLog log_;
+};
+
+TEST_F(ClientSessionTest, EachDestinationSetIsASessionNumberedFromOne) {
+  // Each worker cycles through {0}, {1}, {0,1} atomic, {0}, {1,0} fan-out:
+  // the fan-out addresses the same set as the atomic request, so it shares
+  // its session.
+  constexpr std::uint32_t kWorkers = 3;
+  constexpr int kPerWorker = 40;
+  std::vector<int> issued(kWorkers, 0);
+  auto* client = env_.spawn<ClientNode>(
+      kClient, ClientNode::Options{kWorkers, kSecond, 0},
+      ClientNode::NextFn([&](std::uint32_t w) -> std::optional<Request> {
+        const int i = issued[w]++;
+        if (i >= kPerWorker) return std::nullopt;
+        switch (i % 5) {
+          case 0:
+          case 3:
+            return to_groups({0}, false);
+          case 1:
+            return to_groups({1}, false);
+          case 2:
+            return to_groups({0, 1}, true);
+          default:
+            return to_groups({1, 0}, false);
+        }
+      }),
+      ClientNode::DoneFn(nullptr));
+  env_.sim().run_for(from_seconds(1));
+  ASSERT_EQ(client->completed(), kWorkers * kPerWorker);
+  EXPECT_EQ(client->retries(), 0u);
+
+  // Per session: the seqs in first-arrival order, and the groups seen.
+  std::map<SessionId, std::vector<std::uint64_t>> seqs;
+  std::map<SessionId, std::set<GroupId>> groups;
+  for (const Arrival& a : log_.arrivals) {
+    std::vector<std::uint64_t>& v = seqs[a.session];
+    if (v.empty() || v.back() != a.seq) v.push_back(a.seq);
+    groups[a.session].insert(a.group);
+  }
+  // Set indices follow first use: {0} -> 0, {1} -> 1, {0,1} -> 2.
+  const std::map<std::uint32_t, std::pair<std::set<GroupId>, std::size_t>>
+      expected = {{0, {{0}, 16}}, {1, {{1}, 8}}, {2, {{0, 1}, 16}}};
+  ASSERT_EQ(seqs.size(), kWorkers * expected.size());
+  std::set<std::uint32_t> workers;
+  for (const auto& [session, v] : seqs) {
+    EXPECT_EQ(session_client(session), kClient);
+    workers.insert(static_cast<std::uint32_t>(session & 0xfffff));
+    const auto it = expected.find(session_set(session));
+    ASSERT_NE(it, expected.end()) << session;
+    EXPECT_EQ(groups[session], it->second.first) << session;
+    ASSERT_EQ(v.size(), it->second.second) << session;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      EXPECT_EQ(v[i], i + 1) << "session " << session;
+    }
+  }
+  EXPECT_EQ(workers, (std::set<std::uint32_t>{0, 1, 2}));
+}
+
+TEST_F(ClientSessionTest, FirstResendIsExactlyOneTimeoutAfterIssueThenBacksOff) {
+  log_.reply_after = [](const Arrival&) { return std::nullopt; };
+  constexpr TimeNs kTimeout = 100 * kMillisecond;
+  auto* client = env_.spawn<ClientNode>(
+      kClient, ClientNode::Options{1, kTimeout, 0},
+      ClientNode::NextFn([sent = false](std::uint32_t) mutable
+                         -> std::optional<Request> {
+        if (std::exchange(sent, true)) return std::nullopt;
+        return to_groups({0}, false);
+      }),
+      ClientNode::DoneFn(nullptr));
+  env_.sim().run_for(from_seconds(2));
+
+  // Every copy is the same command, rotated through the targets; link
+  // delay is constant, so arrival gaps equal send gaps.
+  ASSERT_GE(log_.arrivals.size(), 5u);
+  for (std::size_t i = 0; i < log_.arrivals.size(); ++i) {
+    const Arrival& a = log_.arrivals[i];
+    EXPECT_EQ(a.at, static_cast<ProcessId>(1 + i % 3));
+    EXPECT_EQ(a.session, log_.arrivals[0].session);
+    EXPECT_EQ(a.seq, 1u);
+  }
+  EXPECT_EQ(log_.arrivals[1].time - log_.arrivals[0].time, kTimeout);
+  // Resend k+1 follows resend k by a jittered backoff in
+  // [0.75, 1] * timeout * 2^(k-1).
+  for (std::size_t k = 1; k + 1 < log_.arrivals.size() && k <= 3; ++k) {
+    const TimeNs gap = log_.arrivals[k + 1].time - log_.arrivals[k].time;
+    const TimeNs term = kTimeout << (k - 1);
+    EXPECT_GE(gap, term * 3 / 4) << "resend " << k;
+    EXPECT_LE(gap, term) << "resend " << k;
+  }
+  EXPECT_EQ(client->retries(), log_.arrivals.size() - 1);
+}
+
+TEST_F(ClientSessionTest, DeadlinesStayExactAmidCompletions) {
+  // Requests answered before their deadline never resend; every fifth
+  // request's first copy goes unanswered and must be re-sent exactly one
+  // timeout after it was issued, whatever completed around it.
+  constexpr TimeNs kTimeout = 50 * kMillisecond;
+  log_.reply_after = [](const Arrival& a) -> std::optional<TimeNs> {
+    if (a.seq % 5 == 0 && a.at == 1) return std::nullopt;
+    return (a.seq % 7) * kTimeout / 8;  // up to 0.75 of the timeout
+  };
+  ClientNode::Options opts{8, kTimeout, 0};
+  opts.start_delay = 3 * kMillisecond;
+  constexpr int kRequests = 397;
+  int issued = 0;
+  auto* client = env_.spawn<ClientNode>(
+      kClient, opts,
+      ClientNode::NextFn([&](std::uint32_t) -> std::optional<Request> {
+        if (issued++ >= kRequests) return std::nullopt;
+        return to_groups({0}, false);
+      }),
+      ClientNode::DoneFn(nullptr));
+  env_.sim().run_for(from_seconds(5));
+  ASSERT_EQ(client->completed(), static_cast<std::uint64_t>(kRequests));
+
+  std::map<std::pair<SessionId, std::uint64_t>, std::vector<TimeNs>> copies;
+  for (const Arrival& a : log_.arrivals) {
+    copies[{a.session, a.seq}].push_back(a.time);
+  }
+  ASSERT_EQ(copies.size(), static_cast<std::size_t>(kRequests));
+  std::uint64_t withheld = 0;
+  for (const auto& [key, times] : copies) {
+    if (key.second % 5 == 0) {
+      ++withheld;
+      ASSERT_EQ(times.size(), 2u) << key.first << "/" << key.second;
+      EXPECT_EQ(times[1] - times[0], kTimeout) << key.first << "/" << key.second;
+    } else {
+      EXPECT_EQ(times.size(), 1u) << key.first << "/" << key.second;
+    }
+  }
+  EXPECT_GT(withheld, 0u);
+  EXPECT_EQ(client->retries(), withheld);
+}
+
+TEST_F(ClientSessionTest, AnsweredRequestsLeaveNoTimerBehind) {
+  auto* client = env_.spawn<ClientNode>(
+      kClient, ClientNode::Options{16, kSecond, 0},
+      ClientNode::NextFn([](std::uint32_t) -> std::optional<Request> {
+        return to_groups({0}, false);
+      }),
+      ClientNode::DoneFn(nullptr));
+  env_.sim().run_for(from_millis(500));
+  EXPECT_GT(client->completed(), 1000u);
+  EXPECT_EQ(client->retries(), 0u);
+  // A timer per request would leave every request of the last second
+  // pending; one shared deadline timer leaves about one event per worker.
+  EXPECT_LT(env_.sim().pending_events(), 100u);
+}
+
 TEST(BatchCodec, Roundtrip) {
   Batch b;
   for (int i = 0; i < 5; ++i) {
@@ -186,10 +407,40 @@ TEST(BatchCodec, Roundtrip) {
   }
 }
 
+TEST(BatchCodec, EncodingIsAllocatedAtItsSize) {
+  // A batch of eight 4 KiB commands must not sit in a doubled buffer.
+  Batch b;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    Command c;
+    c.session = make_session(42, i);
+    c.seq = i + 1;
+    c.op.assign(4096, static_cast<std::uint8_t>(i));
+    if (i % 2 == 1) c.groups = {0, 1};
+    b.commands.push_back(c);
+  }
+  const Bytes encoded = encode_batch(b);
+  EXPECT_LE(encoded.size(), b.wire_size());
+  EXPECT_LE(encoded.capacity(), b.wire_size());
+  EXPECT_EQ(decode_batch(encoded).commands.size(), 8u);
+}
+
 TEST(BatchCodec, SessionPacking) {
   const SessionId s = make_session(123, 456);
   EXPECT_EQ(session_client(s), 123);
   EXPECT_EQ(s & 0xfffff, 456u);
+  EXPECT_EQ(session_set(s), 0u);
+
+  const SessionId last = make_session(123, 0xfffff, kSessionSets - 1);
+  EXPECT_EQ(session_client(last), 123);
+  EXPECT_EQ(last & 0xfffff, 0xfffffu);
+  EXPECT_EQ(session_set(last), kSessionSets - 1);
+
+  // Negative and maximal process ids survive the packing too.
+  const SessionId neg = make_session(-7, 3, 5);
+  EXPECT_EQ(session_client(neg), -7);
+  EXPECT_EQ(neg & 0xfffff, 3u);
+  EXPECT_EQ(session_set(neg), 5u);
+  EXPECT_NE(make_session(123, 456, 1), s);
 }
 
 }  // namespace
