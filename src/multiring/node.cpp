@@ -180,7 +180,10 @@ std::vector<GroupId> MultiRingNode::subscribed_groups() const {
 void MultiRingNode::on_message(ProcessId from, const runtime::Message& m) {
   if (m.kind() == coord::kMsgViewChange) {
     const auto& vc = runtime::msg_cast<coord::MsgViewChange>(m);
-    if (auto* h = handler(vc.view.ring)) h->on_view(vc.view);
+    if (auto* h = handler(vc.view.ring)) {
+      h->on_view(vc.view);
+      on_ring_view(vc.view.ring);
+    }
     return;
   }
   if (m.kind() == coord::kMsgAcceptorPrep) {
@@ -198,6 +201,8 @@ void MultiRingNode::on_message(ProcessId from, const runtime::Message& m) {
 
 void MultiRingNode::on_app_message(ProcessId /*from*/,
                                    const runtime::Message& /*m*/) {}
+
+void MultiRingNode::on_ring_view(GroupId /*group*/) {}
 
 void MultiRingNode::on_trimmed_gap(GroupId /*group*/,
                                    InstanceId /*trimmed_to*/) {}

@@ -155,6 +155,11 @@ class MultiRingNode : public runtime::Node {
   /// ignore.
   virtual void on_own_value_delivered(GroupId group, const paxos::Value& v);
 
+  /// Hook invoked after `group`'s handler received a registry view (the
+  /// smr layer re-derives who answers clients for that ring). Default:
+  /// ignore.
+  virtual void on_ring_view(GroupId group);
+
  private:
   void deliver_merged(GroupId group, InstanceId instance,
                       const paxos::Value& v);

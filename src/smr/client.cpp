@@ -266,8 +266,10 @@ void ClientNode::on_message(ProcessId /*from*/, const runtime::Message& m) {
   if (worker >= workers_.size()) return;
   if (!is_current(worker, session, reply.seq)) return;  // stale reply
   Outstanding& o = workers_[worker];
-  // First reply per partition wins.
-  if (!o.results.emplace(reply.partition_tag, reply.result).second) return;
+  // The first reply per partition is kept. A later one (a replica answering
+  // a retry from its reply cache, a replier takeover's re-send) is dropped;
+  // try_emplace copies nothing for it.
+  if (!o.results.try_emplace(reply.partition_tag, reply.result).second) return;
   if (o.results.size() < o.request.expected_partitions) return;
 
   finish(worker);

@@ -3,9 +3,12 @@
 // A ClientNode hosts `workers` independent closed-loop sessions (the paper's
 // "client threads"): each worker asks the workload for its next request,
 // sends one command per fan-out group, waits until it has a reply from the
-// expected number of distinct partitions (first reply per partition wins —
-// replicas answer over UDP in the paper), reports the completion, and
-// immediately issues the next request.
+// expected number of distinct partitions, reports the completion, and
+// immediately issues the next request. One replica per addressed partition
+// answers each command — the first member of the partition after the
+// ring's quorum-crossing acceptor (smr/replica.hpp) — or every replica
+// when it cannot tell who that is; extra replies (cached answers to a
+// retry) are dropped.
 //
 // Sessions: a worker has one session per destination group set it
 // addresses, numbered 1, 2, 3, ... (see make_session). Every request of a

@@ -221,10 +221,17 @@ void ReplicaNode::execute(GroupId group, const Command& c) {
   Bytes result = apply_command(group, c);
   ++executed_;
   s.mark_executed(c.seq);
+  const bool replies = replier(group) == id();
   if (c.seq >= s.last_seq) {
     s.last_seq = c.seq;
+    s.last_group = group;
+    if (!replies) {
+      s.last_reply = std::move(result);
+      return;
+    }
     s.last_reply = result;
   }
+  if (!replies) return;
 
   auto reply = std::make_shared<MsgClientReply>();
   reply->session = c.session;
@@ -232,6 +239,59 @@ void ReplicaNode::execute(GroupId group, const Command& c) {
   reply->partition_tag = options_.partition_tag;
   reply->result = std::move(result);
   send(session_client(c.session), reply);
+}
+
+ProcessId ReplicaNode::replier(GroupId group) {
+  const ringpaxos::RingHandler* h = handler(group);
+  if (h == nullptr || merger() == nullptr) return id();
+  ReplierCache& rc = repliers_[group];
+  if (rc.replier == kNoProcess || rc.epoch != h->view().epoch ||
+      rc.subscribed != merger()->groups()) {
+    rc.epoch = h->view().epoch;
+    rc.subscribed = merger()->groups();
+    rc.replier = compute_replier(group);
+  }
+  return rc.replier;
+}
+
+ProcessId ReplicaNode::compute_replier(GroupId group) {
+  const coord::RingView& v = handler(group)->view();
+  // The quorum-crossing acceptor: the coordinator votes first, then the
+  // alive acceptors after it in ring order until the quorum is complete.
+  const auto coord =
+      std::find(v.acceptors.begin(), v.acceptors.end(), v.coordinator);
+  if (coord == v.acceptors.end() || v.acceptors.size() < v.quorum() ||
+      !v.contains(id())) {
+    return id();
+  }
+  const std::size_t n = v.acceptors.size();
+  const ProcessId crosser =
+      v.acceptors[(static_cast<std::size_t>(coord - v.acceptors.begin()) +
+                   v.quorum() - 1) % n];
+  if (registry().subscriptions(id()).empty()) return id();
+  const std::vector<ProcessId> peers = registry().partition_peers(id());
+  // The first partition peer in ring order from the crosser learns first.
+  const auto start = std::find(v.members.begin(), v.members.end(), crosser);
+  if (start == v.members.end()) return id();
+  const std::size_t first = static_cast<std::size_t>(start - v.members.begin());
+  for (std::size_t k = 0; k < v.members.size(); ++k) {
+    const ProcessId q = v.members[(first + k) % v.members.size()];
+    if (std::find(peers.begin(), peers.end(), q) != peers.end()) return q;
+  }
+  return id();
+}
+
+void ReplicaNode::on_ring_view(GroupId group) {
+  auto it = repliers_.find(group);
+  if (it == repliers_.end()) return;  // nothing executed on this ring yet
+  const ProcessId before = it->second.replier;
+  if (before == id() || replier(group) != id()) return;
+  // Takeover: commands this replica executed under the old view were left
+  // to `before`, which may have died (or lost the role) before answering.
+  // Each session has at most its last command outstanding.
+  for (const auto& [session, s] : sessions_) {
+    if (s.last_group == group) send_cached_reply(s, session, s.last_seq);
+  }
 }
 
 Bytes ReplicaNode::apply_command(GroupId group, const Command& c) {

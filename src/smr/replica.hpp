@@ -6,8 +6,9 @@
 //     group (up to batch_bytes, the paper's 32 KB) and multicast,
 //   * learner — merged deliveries are decoded, deduplicated per session,
 //     executed against the service StateMachine, and answered to the client
-//     with a datagram-style MsgClientReply (first reply wins at the client).
-//     A *multi-group* command (one copy per addressed ring, same
+//     with a datagram-style MsgClientReply. Every replica executes and
+//     caches the reply, but only one replica per partition sends it (see
+//     "Replier" below). A *multi-group* command (one copy per addressed ring, same
 //     (session, seq) identity) is gathered and executed exactly once, at
 //     the merged position of the last subscribed addressed group to
 //     deliver its copy — identical at every replica with the same group
@@ -16,6 +17,26 @@
 //   * recovery participant — a Checkpointer snapshots state at merge-round
 //     boundaries and a TrimProtocol instance drives acceptor-log trimming
 //     for every group this node coordinates.
+//
+// Replier. A command committed at ring g is answered by one replica of each
+// partition (registry partition = equal subscription set): the first member
+// of the partition in ring order from g's quorum-crossing acceptor — the
+// acceptor whose vote completes the Phase 2 quorum, counted from the
+// coordinator along the view's alive acceptors. That acceptor announces
+// the decision, so it and the members right after it learn every command
+// before anyone else; on a partition ring the crosser itself replies, on
+// the global ring each partition's first member after it does (so scans
+// still collect one reply per partition), and acceptor-only members are
+// skipped. Fail-open: with no view, no coordinator, no subscription entry,
+// or this replica outside the view, the replica replies — a missing entry
+// only ever adds replies. The answer is cached per ring, keyed on the view
+// epoch and this replica's subscription set (no registry call per command).
+// A duplicate is still answered from the reply cache by whichever replica
+// sees it, so a lost reply costs at most one client retry_timeout. When a
+// view change makes this replica the replier in place of another one, it
+// re-sends the cached reply of every session whose last command committed
+// on that ring, once: replicas that executed those commands under the old
+// view left them to a replier that may have crashed before answering.
 #pragma once
 
 #include <deque>
@@ -24,6 +45,7 @@
 #include <set>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/metrics.hpp"
 #include "multiring/node.hpp"
@@ -101,6 +123,7 @@ class ReplicaNode : public multiring::MultiRingNode {
   void on_app_message(ProcessId from, const runtime::Message& m) override;
   void on_trimmed_gap(GroupId group, InstanceId trimmed_to) override;
   void on_own_value_delivered(GroupId group, const paxos::Value& v) override;
+  void on_ring_view(GroupId group) override;
 
   /// Applies one ordered command to the service state machine (called in
   /// delivery order, after session dedup). Subclasses interpose here for
@@ -128,6 +151,9 @@ class ReplicaNode : public multiring::MultiRingNode {
     std::set<std::uint64_t> exec_above;
     std::uint64_t last_seq = 0;  // highest executed (reply-cache key)
     Bytes last_reply;
+    // Ring last_seq committed at (-1 = unknown): a replier takeover
+    // re-sends the replies of that ring's sessions. Not in snapshots.
+    GroupId last_group = -1;
     // Proposer-side duplicate suppression, per group: the highest seq this
     // replica has already multicast for the session on that ring, and when.
     // A retried command is re-proposed only after proposal_guard has
@@ -158,6 +184,13 @@ class ReplicaNode : public multiring::MultiRingNode {
     std::size_t bytes = 0;
     bool timer_armed = false;
   };
+  /// The replier of one ring for this replica's partition, valid while the
+  /// ring's view epoch and this replica's subscription set are unchanged.
+  struct ReplierCache {
+    std::uint64_t epoch = 0;
+    std::vector<GroupId> subscribed;
+    ProcessId replier = kNoProcess;
+  };
   /// Credit accounting for one group: commands admitted into the pipeline
   /// (pending batch + multicast-but-undelivered) and the gauge over them.
   struct GroupFlow {
@@ -170,6 +203,10 @@ class ReplicaNode : public multiring::MultiRingNode {
   void deliver_command(GroupId group, const Command& c);
   bool multi_gather_complete(const PendingMulti& pm) const;
   void execute(GroupId group, const Command& c);
+  /// The replica that answers commands committed at `group` for this
+  /// replica's partition (this replica itself when failing open).
+  ProcessId replier(GroupId group);
+  ProcessId compute_replier(GroupId group);
   void send_cached_reply(const Session& s, SessionId session,
                          std::uint64_t seq);
   void enqueue_request(GroupId group, const Command& c);
@@ -197,6 +234,7 @@ class ReplicaNode : public multiring::MultiRingNode {
   /// returned when the ring delivers the value back (exactly once).
   std::map<std::pair<GroupId, ValueId>, std::pair<std::size_t, std::size_t>>
       outstanding_values_;
+  std::map<GroupId, ReplierCache> repliers_;
   std::uint64_t executed_ = 0;
 };
 

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
 #include "coord/registry.hpp"
 #include "mrpstore/client.hpp"
@@ -803,6 +805,82 @@ TEST_F(StoreE2eTest, SessionDedupStaysBoundedAcrossPartitions) {
   // Per worker: its own partition's single-key session, the transfer
   // session and the global-ring scan session.
   EXPECT_LE(most_sessions, 3 * kWorkers);
+}
+
+/// A ClientNode that counts replies per (session, seq, partition tag).
+class ReplyCountingClient final : public smr::ClientNode {
+ public:
+  using Key = std::tuple<smr::SessionId, std::uint64_t, int>;
+  ReplyCountingClient(sim::Env& env, ProcessId id, Options options,
+                      NextFn next, DoneFn done, std::map<Key, int>* counts)
+      : ClientNode(env, id, options, std::move(next), std::move(done)),
+        counts_(counts) {}
+
+  void on_message(ProcessId from, const runtime::Message& m) override {
+    if (m.kind() == smr::kMsgClientReply) {
+      const auto& r = runtime::msg_cast<smr::MsgClientReply>(m);
+      ++(*counts_)[{r.session, r.seq, r.partition_tag}];
+    }
+    ClientNode::on_message(from, m);
+  }
+
+ private:
+  std::map<Key, int>* counts_;
+};
+
+TEST_F(StoreE2eTest, OneReplyPerAddressedPartition) {
+  // Two partitions plus the global ring: single-key ops, cross-partition
+  // transfers and multi_gets (one command per partition ring) and global
+  // scans (one command every replica of both partitions executes). Each
+  // command is answered once by each partition it reaches.
+  build(true, RangePartitioner({"m"}).encode(), 2);
+  constexpr std::uint64_t kRequests = 1500;
+  std::uint64_t issued = 0;
+  std::map<ReplyCountingClient::Key, int> counts;
+  std::map<std::size_t, std::uint64_t> by_fanout;
+  auto* client = env_.spawn<ReplyCountingClient>(
+      kClient, smr::ClientNode::Options{4, 2 * kSecond, 0},
+      smr::ClientNode::NextFn(
+          [&](std::uint32_t) -> std::optional<smr::Request> {
+            if (issued >= kRequests) return std::nullopt;
+            const std::uint64_t i = issued++;
+            const std::string a = "a" + std::to_string(i % 17);
+            const std::string z = "z" + std::to_string(i % 13);
+            switch (i % 6) {
+              case 0:
+                return client_helper_->update(a, to_bytes("5"));
+              case 1:
+                return client_helper_->read(z);
+              case 2:
+                return client_helper_->transfer(a, z, 1);
+              case 3:
+                return client_helper_->multi_get({a, z});
+              case 4:
+                return client_helper_->scan("a", "zz", 0);
+              default:
+                return client_helper_->transfer(z, a, 1);
+            }
+          }),
+      smr::ClientNode::DoneFn([&](const smr::Completion& c) {
+        ++by_fanout[c.results.size()];
+      }),
+      &counts);
+  for (int step = 0; step < 600 && client->completed() < kRequests; ++step) {
+    env_.sim().run_for(from_millis(50));
+  }
+  env_.sim().run_for(from_millis(200));
+
+  ASSERT_EQ(client->completed(), kRequests);
+  EXPECT_EQ(client->retries(), 0u);
+  EXPECT_EQ(by_fanout[1], kRequests / 3);  // update, read
+  EXPECT_EQ(by_fanout[2], kRequests * 2 / 3);
+  std::uint64_t replies = 0;
+  for (const auto& [key, n] : counts) {
+    EXPECT_EQ(n, 1) << "session " << std::get<0>(key) << " seq "
+                    << std::get<1>(key) << " partition " << std::get<2>(key);
+    replies += static_cast<std::uint64_t>(n);
+  }
+  EXPECT_EQ(replies, by_fanout[1] + 2 * by_fanout[2]);
 }
 
 }  // namespace

@@ -173,6 +173,211 @@ TEST_F(SmrTest, WorkersHaveIndependentSessions) {
             static_cast<std::int64_t>(client->completed()));
 }
 
+// --- One reply per partition ----------------------------------------------
+
+/// One MsgClientReply as the client received it.
+struct ReplySeen {
+  ProcessId from = 0;
+  SessionId session = 0;
+  std::uint64_t seq = 0;
+  int partition_tag = 0;
+  TimeNs time = 0;
+};
+
+/// A ClientNode that records every reply before handling it.
+class TappedClient final : public ClientNode {
+ public:
+  TappedClient(sim::Env& env, ProcessId id, Options options, NextFn next,
+               DoneFn done, std::vector<ReplySeen>* log)
+      : ClientNode(env, id, options, std::move(next), std::move(done)),
+        log_(log) {}
+
+  void on_message(ProcessId from, const runtime::Message& m) override {
+    if (m.kind() == kMsgClientReply) {
+      const auto& r = runtime::msg_cast<MsgClientReply>(m);
+      log_->push_back({from, r.session, r.seq, r.partition_tag, now()});
+    }
+    ClientNode::on_message(from, m);
+  }
+
+ private:
+  std::vector<ReplySeen>* log_;
+};
+
+/// A ring member that votes but delivers nothing (no subscriptions).
+class AcceptorOnly final : public multiring::MultiRingNode {
+ public:
+  using MultiRingNode::MultiRingNode;
+};
+
+/// Replies per command identity (session, seq).
+std::map<std::pair<SessionId, std::uint64_t>, std::vector<ProcessId>>
+repliers_by_command(const std::vector<ReplySeen>& log) {
+  std::map<std::pair<SessionId, std::uint64_t>, std::vector<ProcessId>> out;
+  for (const ReplySeen& r : log) out[{r.session, r.seq}].push_back(r.from);
+  return out;
+}
+
+class ReplierTest : public SmrTest {
+ protected:
+  /// `workers` closed-loop sessions incrementing through proposer 1.
+  TappedClient* spawn_client(std::uint32_t workers) {
+    return env_.spawn<TappedClient>(
+        kClient, ClientNode::Options{workers, kSecond, 0},
+        ClientNode::NextFn([this](std::uint32_t) { return inc(); }),
+        ClientNode::DoneFn(nullptr), &replies_);
+  }
+
+  std::vector<ReplySeen> replies_;
+};
+
+TEST_F(ReplierTest, OneReplyPerCommandFromCoordinatorSuccessor) {
+  // Coordinator 1 votes first, so acceptor 2's vote completes the quorum:
+  // replica 2 learns every command first and is the only one to answer.
+  build();
+  auto* client = spawn_client(8);
+  env_.sim().run_for(from_seconds(1));
+  client->stop();
+  env_.sim().run_for(from_millis(200));
+
+  ASSERT_GT(client->completed(), 200u);
+  EXPECT_EQ(client->retries(), 0u);
+  const auto by_command = repliers_by_command(replies_);
+  EXPECT_EQ(by_command.size(), client->completed());
+  for (const auto& [key, from] : by_command) {
+    ASSERT_EQ(from.size(), 1u) << "session " << key.first << " seq "
+                               << key.second;
+    EXPECT_EQ(from[0], 2);
+  }
+  // Every replica still executed every command.
+  for (ProcessId r : {1, 2, 3}) {
+    EXPECT_EQ(counter(r).value(),
+              static_cast<std::int64_t>(client->completed()));
+  }
+}
+
+TEST_F(ReplierTest, NonLearnerCrosserIsSkipped) {
+  // Ring 1 -> 2 -> 3 -> 4 with acceptors {1, 2, 3}; 2 only votes. The
+  // quorum crosses at 2, so the next learner, 3, answers.
+  coord::RingConfig cfg;
+  cfg.ring = kRing;
+  cfg.order = {1, 2, 3, 4};
+  cfg.acceptors = {1, 2, 3};
+  registry_->create_ring(cfg);
+  multiring::NodeConfig learner;
+  learner.rings.push_back(multiring::RingSub{kRing, {}, true});
+  multiring::NodeConfig voter;
+  voter.rings.push_back(multiring::RingSub{kRing, {}, false});
+  env_.spawn<AcceptorOnly>(2, registry_.get(), voter);
+  for (ProcessId r : {1, 3, 4}) {
+    env_.spawn<ReplicaNode>(
+        r, registry_.get(), learner,
+        StateMachineFactory([](runtime::Runtime&, ProcessId) {
+          return std::make_unique<CounterSm>();
+        }),
+        ReplicaOptions{});
+  }
+  auto* client = spawn_client(4);
+  env_.sim().run_for(from_millis(500));
+  client->stop();
+  env_.sim().run_for(from_millis(200));
+
+  ASSERT_GT(client->completed(), 50u);
+  EXPECT_EQ(client->retries(), 0u);
+  for (const auto& [key, from] : repliers_by_command(replies_)) {
+    ASSERT_EQ(from.size(), 1u) << "seq " << key.second;
+    EXPECT_EQ(from[0], 3);
+  }
+}
+
+TEST_F(ReplierTest, ReplicaWithoutRegistryEntryRepliesToo) {
+  // Replica 3's subscription entry is empty, so it cannot find its
+  // partition and fails open: it answers everything, next to replica 2
+  // (the replier of partition {1, 2}).
+  build();
+  registry_->set_subscriptions(3, {});
+  auto* client = spawn_client(4);
+  env_.sim().run_for(from_millis(500));
+  client->stop();
+  env_.sim().run_for(from_millis(200));
+
+  ASSERT_GT(client->completed(), 50u);
+  for (const auto& [key, from] : repliers_by_command(replies_)) {
+    EXPECT_EQ(std::set<ProcessId>(from.begin(), from.end()),
+              (std::set<ProcessId>{2, 3}))
+        << "seq " << key.second;
+  }
+}
+
+TEST_F(ReplierTest, ReplierCrashStrandsNoRequest) {
+  // Two rings merged at every replica, like a partition ring and a global
+  // ring, both under load. The quorum crosses at 2 on ring 0 but at 3 on
+  // ring 1 (order 1 -> 3 -> 2), so 3 can hold ring 1's next decision while
+  // 2 still waits for it at the merge. Replier 2 is killed. Until the
+  // crash is detected, 1 and 3 execute ring 0 commands that 2 learned but
+  // never executed, and leave them to 2; the new replier (3) must answer
+  // them when it takes over, long before the 10 s client retry.
+  constexpr GroupId kOther = 1;
+  ringpaxos::RingParams params;
+  params.lambda = 2000;
+  params.skip_interval = 5 * kMillisecond;
+  for (GroupId g : {kRing, kOther}) {
+    coord::RingConfig cfg;
+    cfg.ring = g;
+    cfg.order = g == kRing ? std::vector<ProcessId>{1, 2, 3}
+                           : std::vector<ProcessId>{1, 3, 2};
+    cfg.acceptors = {1, 2, 3};
+    registry_->create_ring(cfg);
+  }
+  multiring::NodeConfig node_cfg;
+  node_cfg.rings.push_back(multiring::RingSub{kRing, params, true});
+  node_cfg.rings.push_back(multiring::RingSub{kOther, params, true});
+  for (ProcessId r : {1, 2, 3}) {
+    env_.spawn<ReplicaNode>(
+        r, registry_.get(), node_cfg,
+        StateMachineFactory([](runtime::Runtime&, ProcessId) {
+          return std::make_unique<CounterSm>();
+        }),
+        ReplicaOptions{});
+  }
+  constexpr TimeNs kRetry = 10 * kSecond;
+  auto* client = env_.spawn<TappedClient>(
+      kClient, ClientNode::Options{16, kRetry, 0},
+      ClientNode::NextFn([n = 0](std::uint32_t) mutable {
+        return Request::single(n++ % 2 == 0 ? kRing : kOther, {1, 2, 3},
+                               to_bytes("inc"));
+      }),
+      ClientNode::DoneFn(nullptr), &replies_);
+  env_.sim().run_for(from_millis(500));
+  const std::uint64_t before_crash = client->completed();
+  ASSERT_GT(before_crash, 100u);
+  env_.crash(2);
+  const TimeNs crash_at = env_.sim().now();
+  env_.sim().run_for(from_millis(1500));
+  client->stop();
+  // Long enough for a stranded request's retry to complete it.
+  env_.sim().run_for(kRetry + kSecond);
+
+  EXPECT_EQ(client->outstanding(), 0u);
+  EXPECT_EQ(client->retries(), 0u)
+      << "requests waited the full retry timeout after the replier crashed";
+  EXPECT_GT(client->completed(), before_crash + 100);
+  // Exactly once at the survivors.
+  for (ProcessId r : {1, 3}) {
+    EXPECT_EQ(counter(r).value(),
+              static_cast<std::int64_t>(client->completed()))
+        << "replica " << r;
+  }
+  // Replica 3, next after 2 in ring order, took over as replier.
+  std::uint64_t late = 0;
+  for (const ReplySeen& r : replies_) {
+    if (r.time < crash_at + from_millis(500)) continue;
+    ++late;
+    EXPECT_EQ(r.from, 3);
+  }
+  EXPECT_GT(late, 0u);
+}
+
 // --- Client sessions and retry timing, against stub proposers -------------
 
 /// One MsgClientRequest as a stub proposer received it.
@@ -189,6 +394,8 @@ struct StubLog {
   /// Each arrival's reply delay, or nullopt to withhold the reply.
   std::function<std::optional<TimeNs>(const Arrival&)> reply_after =
       [](const Arrival&) { return std::optional<TimeNs>(0); };
+  /// Replies sent per answered arrival; copy k carries result "<group>/<k>".
+  int copies = 1;
 };
 
 /// Records every request and answers it (partition tag = group) after the
@@ -207,11 +414,15 @@ class StubProposer final : public sim::Process {
     const std::optional<TimeNs> delay = log_->reply_after(a);
     if (!delay) return;
     after(*delay, [this, a] {
-      auto reply = std::make_shared<MsgClientReply>();
-      reply->session = a.session;
-      reply->seq = a.seq;
-      reply->partition_tag = a.group;
-      send(session_client(a.session), reply);
+      for (int k = 0; k < log_->copies; ++k) {
+        auto reply = std::make_shared<MsgClientReply>();
+        reply->session = a.session;
+        reply->seq = a.seq;
+        reply->partition_tag = a.group;
+        reply->result =
+            to_bytes(std::to_string(a.group) + "/" + std::to_string(k));
+        send(session_client(a.session), reply);
+      }
     });
   }
 
@@ -386,6 +597,34 @@ TEST_F(ClientSessionTest, AnsweredRequestsLeaveNoTimerBehind) {
   // A timer per request would leave every request of the last second
   // pending; one shared deadline timer leaves about one event per worker.
   EXPECT_LT(env_.sim().pending_events(), 100u);
+}
+
+TEST_F(ClientSessionTest, DuplicatePartitionReplyChangesNothing) {
+  // Every partition answers twice; group 1 answers after group 0's pair, so
+  // group 0's second copy arrives while the request is still waiting.
+  log_.copies = 2;
+  log_.reply_after = [](const Arrival& a) -> std::optional<TimeNs> {
+    return a.group == 1 ? 10 * kMillisecond : 0;
+  };
+  std::vector<Completion> done;
+  auto* client = env_.spawn<ClientNode>(
+      kClient, ClientNode::Options{1, kSecond, 0},
+      ClientNode::NextFn([sent = false](std::uint32_t) mutable
+                         -> std::optional<Request> {
+        if (std::exchange(sent, true)) return std::nullopt;
+        return to_groups({0, 1}, false);
+      }),
+      ClientNode::DoneFn([&](const Completion& c) { done.push_back(c); }));
+  env_.sim().run_for(from_millis(200));
+
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(client->completed(), 1u);
+  EXPECT_EQ(client->retries(), 0u);
+  ASSERT_EQ(done[0].results.size(), 2u);
+  EXPECT_EQ(mrp::to_string(done[0].results.at(0)), "0/0");
+  EXPECT_EQ(mrp::to_string(done[0].results.at(1)), "1/0");
+  // Completed on group 1's first reply, not earlier.
+  EXPECT_GE(done[0].latency, 10 * kMillisecond);
 }
 
 TEST(BatchCodec, Roundtrip) {

@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "coord/registry.hpp"
@@ -478,6 +480,106 @@ TEST_F(ThreadRingTest, MultiWorkerLoadMakesProgress) {
       60))
       << "8-worker closed loop stalled";
   cluster.call(kClient, [&client](runtime::Node*) { client->stop(); });
+  cluster.stop();
+}
+
+/// A ClientNode that records who answered each command (touched only on the
+/// client's loop thread; read through ThreadCluster::call).
+class TappedClient final : public smr::ClientNode {
+ public:
+  using Repliers =
+      std::map<std::pair<smr::SessionId, std::uint64_t>, std::vector<ProcessId>>;
+  using ClientNode::ClientNode;
+
+  void on_message(ProcessId from, const runtime::Message& m) override {
+    if (m.kind() == smr::kMsgClientReply) {
+      const auto& r = runtime::msg_cast<smr::MsgClientReply>(m);
+      repliers_[{r.session, r.seq}].push_back(from);
+    }
+    ClientNode::on_message(from, m);
+  }
+  const Repliers& repliers() const { return repliers_; }
+
+ private:
+  Repliers repliers_;
+};
+
+TEST_F(ThreadRingTest, OneReplyPerCommandOverLoopbackTcp) {
+  // Every replica executes every command, but only replica 2 — whose vote
+  // completes the quorum after coordinator 1's — answers the client.
+  runtime::ThreadCluster cluster(cluster_options());
+  coord::Registry registry(cluster.add_oracle(coord::kRegistrySender),
+                           50 * kMillisecond);
+  coord::RingConfig cfg;
+  cfg.ring = kRing;
+  cfg.order = {1, 2, 3};
+  cfg.acceptors = {1, 2, 3};
+  registry.create_ring(cfg);
+
+  multiring::NodeConfig node_cfg;
+  node_cfg.rings.push_back(multiring::RingSub{kRing, {}, true});
+  for (ProcessId r : {1, 2, 3}) {
+    cluster.add_local(r, [&registry, node_cfg](runtime::Runtime& rt) {
+      return std::make_unique<smr::ReplicaNode>(
+          rt, &registry, node_cfg,
+          smr::StateMachineFactory([](runtime::Runtime&, ProcessId) {
+            return std::make_unique<CounterSm>();
+          }),
+          smr::ReplicaOptions{});
+    });
+  }
+
+  static constexpr int kTarget = 200;
+  std::atomic<int> done{0};
+  TappedClient* client = nullptr;
+  cluster.add_local(kClient, [&done, &client](runtime::Runtime& rt) {
+    smr::ClientNode::Options opts;
+    opts.workers = 4;
+    opts.retry_timeout = 20 * kSecond;  // a retry would add cached replies
+    auto node = std::make_unique<TappedClient>(
+        rt, opts,
+        smr::ClientNode::NextFn(
+            [n = 0](std::uint32_t) mutable -> std::optional<smr::Request> {
+              if (n >= kTarget) return std::nullopt;
+              ++n;
+              return smr::Request::single(kRing, {1, 2, 3}, to_bytes("inc"));
+            }),
+        smr::ClientNode::DoneFn(
+            [&done](const smr::Completion&) { done.fetch_add(1); }));
+    client = node.get();
+    return node;
+  });
+
+  cluster.start();
+  ASSERT_TRUE(wait_for([&done] { return done.load() >= kTarget; }, 60))
+      << done.load() << "/" << kTarget << " completions";
+  for (ProcessId r : {1, 2, 3}) {
+    ASSERT_TRUE(wait_for(
+        [&cluster, r] {
+          std::int64_t v = 0;
+          cluster.call(r, [&v](runtime::Node* n) {
+            auto& replica = dynamic_cast<smr::ReplicaNode&>(*n);
+            v = dynamic_cast<CounterSm&>(replica.state_machine()).value();
+          });
+          return v >= kTarget;
+        },
+        30))
+        << "replica " << r << " did not converge";
+    cluster.call(r, [r](runtime::Node* n) {
+      auto& replica = dynamic_cast<smr::ReplicaNode&>(*n);
+      EXPECT_EQ(dynamic_cast<CounterSm&>(replica.state_machine()).value(),
+                kTarget)
+          << "replica " << r << " over-executed";
+    });
+  }
+  cluster.call(kClient, [&client](runtime::Node*) {
+    EXPECT_EQ(client->retries(), 0u);
+    EXPECT_EQ(client->repliers().size(), static_cast<std::size_t>(kTarget));
+    for (const auto& [key, from] : client->repliers()) {
+      ASSERT_EQ(from.size(), 1u) << "seq " << key.second;
+      EXPECT_EQ(from[0], 2) << "seq " << key.second;
+    }
+  });
   cluster.stop();
 }
 
