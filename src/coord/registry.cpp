@@ -125,6 +125,14 @@ const RingConfig& Registry::config(GroupId ring) const {
   return it->second.config;
 }
 
+TimeNs Registry::detection_bound(GroupId ring) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = rings_.find(ring);
+  MRP_CHECK_MSG(it != rings_.end(), "unknown ring");
+  const TimeNs interval = it->second.config.fd.interval;
+  return interval > 0 ? interval : fd_interval_;
+}
+
 std::vector<GroupId> Registry::rings() const {
   std::lock_guard<std::mutex> lk(mu_);
   std::vector<GroupId> out;

@@ -188,6 +188,10 @@ class Registry {
   const RingView& current_view(GroupId ring) const;
   /// The ring's configured membership (including crashed members).
   const RingConfig& config(GroupId ring) const;
+  /// How long the failure detector may take to drop a crashed member of
+  /// `ring` from its view: one poll period (the ring's own, or the
+  /// registry-wide fd_interval).
+  TimeNs detection_bound(GroupId ring) const;
   /// Ids of every registered ring.
   std::vector<GroupId> rings() const;
 

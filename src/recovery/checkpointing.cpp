@@ -35,8 +35,8 @@ Checkpointer::Checkpointer(multiring::MultiRingNode& node,
   });
   if (options_.interval > 0) {
     // Stagger replicas' checkpoints (Section 9 of the paper: replicas do
-    // not write checkpoints at the same time, so first-reply-wins clients
-    // never see all replicas paused at once).
+    // not write checkpoints at the same time, so a partition never has all
+    // of its replicas paused at once).
     const TimeNs offset =
         (static_cast<TimeNs>(node_.id()) % 4) * (options_.interval / 4);
     node_.after(offset, [this] {
@@ -85,8 +85,10 @@ void Checkpointer::take_checkpoint() {
   cp.state = snapshot_();
 
   // The paper's replicas write checkpoints synchronously: delivery pauses
-  // until the state is on disk (the service masks this because replicas
-  // checkpoint at different times and clients take the first reply).
+  // until the state is on disk. Replicas checkpoint at different times, but
+  // each ring's commands are answered by one replica per partition (see
+  // smr/replica.hpp), so while that replier saves, its partition's clients
+  // wait for the save.
   node_.merger()->pause();
   const storage::CheckpointTuple tuple = cp.next;
   store_.save(std::move(cp), node_.guard([this, tuple] {

@@ -260,8 +260,22 @@ void RingHandler::on_view(const coord::RingView& v) {
     }
     // Any sitting coordinator must re-run Phase 1 under the new basis (its
     // vote masks and quorum size changed); resigning here lets the normal
-    // branch below re-elect it with the new view's round.
-    if (coord_.active) resign_coordinator();
+    // branch below re-elect it with the new view's round. A coordinator that
+    // is re-elected keeps the values it queued but never assigned an
+    // instance, ids remembered: no acceptor holds them, and dropping them
+    // would leave their proposers waiting out proposal_retry (a heal that
+    // lands while the ring is stalled on a dead acceptor's instances finds
+    // the whole outage queued here).
+    if (coord_.active) {
+      std::deque<paxos::Value> queued;
+      if (view_.coordinator == host_.id()) {
+        queued.swap(coord_.pending);
+        std::erase_if(queued,
+                      [](const paxos::Value& v) { return v.is_skip(); });
+      }
+      resign_coordinator();
+      coord_.pending.swap(queued);
+    }
   }
   if (view_.coordinator == host_.id()) {
     if (!coord_.active) become_coordinator();

@@ -226,9 +226,11 @@ void ReplicaNode::execute(GroupId group, const Command& c) {
     s.last_seq = c.seq;
     s.last_group = group;
     if (!replies) {
+      s.left_at = now();
       s.last_reply = std::move(result);
       return;
     }
+    s.left_at = 0;
     s.last_reply = result;
   }
   if (!replies) return;
@@ -288,9 +290,21 @@ void ReplicaNode::on_ring_view(GroupId group) {
   if (before == id() || replier(group) != id()) return;
   // Takeover: commands this replica executed under the old view were left
   // to `before`, which may have died (or lost the role) before answering.
-  // Each session has at most its last command outstanding.
+  // Each session has at most its last command outstanding, and a crashed
+  // replier leaves the view within one detection period, so only commands
+  // executed shortly before this change can be unanswered.
+  resend_last_replies(group,
+                      now() - 2 * registry().detection_bound(group));
+}
+
+void ReplicaNode::resend_last_replies(GroupId group, TimeNs since) {
   for (const auto& [session, s] : sessions_) {
-    if (s.last_group == group) send_cached_reply(s, session, s.last_seq);
+    if (s.last_seq == 0) continue;  // proposed here, never executed
+    if (group >= 0 &&
+        (s.last_group != group || s.left_at == 0 || s.left_at < since)) {
+      continue;
+    }
+    send_cached_reply(s, session, s.last_seq);
   }
 }
 
@@ -361,6 +375,13 @@ void ReplicaNode::restore_state(const Bytes& data) {
   }
   sm_->restore(r.bytes());
   r.expect_done();
+  // The installed state covers commands this replica never executed. If it
+  // answers for one of its rings, its peers left those replies to it.
+  for (GroupId g : subscribed_groups()) {
+    if (replier(g) != id()) continue;
+    resend_last_replies(-1, 0);
+    break;
+  }
 }
 
 }  // namespace mrp::smr

@@ -32,11 +32,18 @@
 // only ever adds replies. The answer is cached per ring, keyed on the view
 // epoch and this replica's subscription set (no registry call per command).
 // A duplicate is still answered from the reply cache by whichever replica
-// sees it, so a lost reply costs at most one client retry_timeout. When a
-// view change makes this replica the replier in place of another one, it
-// re-sends the cached reply of every session whose last command committed
-// on that ring, once: replicas that executed those commands under the old
-// view left them to a replier that may have crashed before answering.
+// sees it, so a lost reply costs at most one client retry_timeout. Two
+// re-sends cover the cases where the replier never answers:
+//   * takeover — when a view change makes this replica the replier in
+//     place of another one, it re-sends, once, the cached reply of every
+//     session whose last command committed on that ring within two
+//     failure-detection periods before the change: it executed those under
+//     the old view and left them to a replier that may have crashed before
+//     answering (the registry drops a crashed member within one period; the
+//     second covers a replier running behind this replica);
+//   * checkpoint install — a replier that installs a checkpoint never
+//     executes the commands it covers, which its peers left to it, so it
+//     re-sends every session's cached reply once.
 #pragma once
 
 #include <deque>
@@ -151,9 +158,12 @@ class ReplicaNode : public multiring::MultiRingNode {
     std::set<std::uint64_t> exec_above;
     std::uint64_t last_seq = 0;  // highest executed (reply-cache key)
     Bytes last_reply;
-    // Ring last_seq committed at (-1 = unknown): a replier takeover
-    // re-sends the replies of that ring's sessions. Not in snapshots.
+    // Ring last_seq committed at (-1 = unknown), and when this replica
+    // executed it and left the reply to that ring's replier (0 = it
+    // answered itself): a replier takeover re-sends the recently left
+    // replies of that ring's sessions. Not in snapshots.
     GroupId last_group = -1;
+    TimeNs left_at = 0;
     // Proposer-side duplicate suppression, per group: the highest seq this
     // replica has already multicast for the session on that ring, and when.
     // A retried command is re-proposed only after proposal_guard has
@@ -209,6 +219,10 @@ class ReplicaNode : public multiring::MultiRingNode {
   ProcessId compute_replier(GroupId group);
   void send_cached_reply(const Session& s, SessionId session,
                          std::uint64_t seq);
+  /// Re-sends each session's cached last reply: every session's for
+  /// `group` < 0, else those whose last command committed on `group` and
+  /// was left to its replier at or after `since`.
+  void resend_last_replies(GroupId group, TimeNs since);
   void enqueue_request(GroupId group, const Command& c);
   bool admit(GroupId group, const Command& c);
   void flush_batch(GroupId group);

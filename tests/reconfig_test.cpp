@@ -135,7 +135,8 @@ class ReconfigTest : public ::testing::Test {
  protected:
   /// `acceptors` acceptor-learners plus `learners` learner-only members.
   void build(int acceptors, int learners, coord::FdParams fd = {},
-             std::vector<ProcessId> standbys = {}) {
+             std::vector<ProcessId> standbys = {},
+             ringpaxos::RingParams params = {}) {
     n_total_ = acceptors + learners;
     coord::RingConfig cfg;
     cfg.ring = 0;
@@ -147,7 +148,7 @@ class ReconfigTest : public ::testing::Test {
     }
     registry_->create_ring(cfg);
     multiring::NodeConfig node_cfg;
-    node_cfg.rings.push_back(multiring::RingSub{0, {}, true});
+    node_cfg.rings.push_back(multiring::RingSub{0, params, true});
     for (int i = 1; i <= n_total_; ++i) {
       env_.spawn<TestNode>(i, registry_.get(), node_cfg, sink_);
     }
@@ -359,6 +360,42 @@ TEST_F(ReconfigTest, AutoHealReplacesKilledAcceptorEndToEnd) {
   EXPECT_TRUE(node(4)->handler(0)->is_acceptor());
 
   send_batch(3, 10);
+  env_.sim().run_for(from_seconds(2));
+  expect_complete_and_consistent({1, 3, 4});
+}
+
+TEST_F(ReconfigTest, HealKeepsValuesQueuedAtTheCoordinator) {
+  // The heal lands while the ring is stalled on the dead acceptor, so the
+  // coordinator's window is full and the values sent meanwhile wait in its
+  // queue. The basis change re-elects coordinator 1, which keeps that queue:
+  // the values are decided right after the new Phase 1, not when their
+  // proposers re-send them a proposal_retry (1 s) later.
+  coord::FdParams fd;
+  fd.auto_heal = true;
+  fd.suspect_grace = 200 * kMillisecond;
+  ringpaxos::RingParams params;
+  params.window = 4;
+  params.min_window = 4;
+  build(3, 1, fd, {4}, params);
+  send_batch(1, 20);
+  env_.sim().run_for(from_millis(300));
+  ASSERT_EQ(delivered_seq(3).size(), 20u);
+
+  env_.crash(2);
+  env_.sim().run_for(from_millis(1));
+  send_batch(1, 30);
+  send_batch(3, 30);
+  const TimeNs crash_at = env_.sim().now();
+  while (registry_->heal_count() == 0 &&
+         env_.sim().now() < crash_at + from_seconds(2)) {
+    env_.sim().run_for(from_millis(1));
+  }
+  ASSERT_EQ(registry_->heal_count(), 1u);
+  EXPECT_LT(env_.sim().now(), crash_at + from_millis(500));
+  env_.sim().run_for(from_millis(200));
+  EXPECT_EQ(delivered_seq(3).size(), 80u)
+      << "values queued at the coordinator waited for their proposers' retry";
+
   env_.sim().run_for(from_seconds(2));
   expect_complete_and_consistent({1, 3, 4});
 }

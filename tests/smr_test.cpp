@@ -221,11 +221,33 @@ repliers_by_command(const std::vector<ReplySeen>& log) {
 class ReplierTest : public SmrTest {
  protected:
   /// `workers` closed-loop sessions incrementing through proposer 1.
-  TappedClient* spawn_client(std::uint32_t workers) {
+  TappedClient* spawn_client(std::uint32_t workers,
+                             TimeNs retry_timeout = kSecond) {
     return env_.spawn<TappedClient>(
-        kClient, ClientNode::Options{workers, kSecond, 0},
+        kClient, ClientNode::Options{workers, retry_timeout, 0},
         ClientNode::NextFn([this](std::uint32_t) { return inc(); }),
         ClientNode::DoneFn(nullptr), &replies_);
+  }
+
+  /// Checkpoints every 200 ms and trims every 400 ms, so an outage of a few
+  /// seconds leaves a restarted replica behind the acceptors' logs.
+  void build_with_checkpoints() {
+    ReplicaOptions ropts;
+    ropts.checkpoint.interval = 200 * kMillisecond;
+    ropts.trim.interval = 400 * kMillisecond;
+    ringpaxos::RingParams params;
+    params.gap_timeout = 20 * kMillisecond;
+    build(ropts, params);
+  }
+
+  /// Every survivor executed each completed command exactly once.
+  void expect_exactly_once(const ClientNode& client,
+                           const std::vector<ProcessId>& replicas) {
+    for (ProcessId r : replicas) {
+      EXPECT_EQ(counter(r).value(),
+                static_cast<std::int64_t>(client.completed()))
+          << "replica " << r;
+    }
   }
 
   std::vector<ReplySeen> replies_;
@@ -376,6 +398,142 @@ TEST_F(ReplierTest, ReplierCrashStrandsNoRequest) {
     EXPECT_EQ(r.from, 3);
   }
   EXPECT_GT(late, 0u);
+}
+
+TEST_F(ReplierTest, FailoverToStandbyStrandsNoRequest) {
+  // The benchmark's ring_failover ring: order 1 -> 2 -> 3 -> 4, acceptors
+  // {1, 2, 3}, standby 4, auto-heal. Replier 2 (the crosser) is killed
+  // under load; the ring drops it, 3 takes over as replier, and 4 later
+  // replaces 2 as an acceptor. No request may wait for the 10 s retry.
+  coord::RingConfig cfg;
+  cfg.ring = kRing;
+  cfg.order = {1, 2, 3, 4};
+  cfg.acceptors = {1, 2, 3};
+  cfg.standbys = {4};
+  cfg.fd.auto_heal = true;
+  cfg.fd.suspect_grace = 300 * kMillisecond;
+  registry_->create_ring(cfg);
+  multiring::NodeConfig node_cfg;
+  node_cfg.rings.push_back(multiring::RingSub{kRing, {}, true});
+  for (ProcessId r : {1, 2, 3, 4}) {
+    env_.spawn<ReplicaNode>(
+        r, registry_.get(), node_cfg,
+        StateMachineFactory([](runtime::Runtime&, ProcessId) {
+          return std::make_unique<CounterSm>();
+        }),
+        ReplicaOptions{});
+  }
+  constexpr TimeNs kRetry = 10 * kSecond;
+  auto* client = env_.spawn<TappedClient>(
+      kClient, ClientNode::Options{16, kRetry, 0},
+      ClientNode::NextFn([](std::uint32_t) {
+        return Request::single(kRing, {1, 3, 4}, to_bytes("inc"));
+      }),
+      ClientNode::DoneFn(nullptr), &replies_);
+  env_.sim().run_for(from_millis(500));
+  const std::uint64_t before_crash = client->completed();
+  ASSERT_GT(before_crash, 100u);
+  env_.crash(2);
+  const TimeNs crash_at = env_.sim().now();
+  env_.sim().run_for(from_millis(1500));
+  client->stop();
+  env_.sim().run_for(kRetry + kSecond);
+
+  EXPECT_EQ(registry_->heal_count(), 1u);
+  EXPECT_EQ(client->outstanding(), 0u);
+  EXPECT_EQ(client->retries(), 0u)
+      << "requests waited the full retry timeout after the replier crashed";
+  EXPECT_GT(client->completed(), before_crash + 100);
+  expect_exactly_once(*client, {1, 3, 4});
+  std::uint64_t late = 0;
+  for (const ReplySeen& r : replies_) {
+    if (r.time < crash_at + from_millis(500)) continue;
+    ++late;
+    EXPECT_EQ(r.from, 3);
+  }
+  EXPECT_GT(late, 0u);
+}
+
+TEST_F(ReplierTest, TakeoverResendsOnlyRecentReplies) {
+  // A takeover re-sends only the replies of commands executed within two
+  // failure-detection periods (2 x 50 ms here) before the view change, not
+  // the last reply of every session the replica ever served.
+  build();
+  auto* idle = spawn_client(200);  // 200 sessions, idle before the crash
+  std::vector<ReplySeen> active_replies;
+  auto* active = env_.spawn<TappedClient>(
+      kClient + 1, ClientNode::Options{4, 10 * kSecond, 0},
+      ClientNode::NextFn([this](std::uint32_t) { return inc(); }),
+      ClientNode::DoneFn(nullptr), &active_replies);
+  env_.sim().run_for(from_millis(300));
+  idle->stop();
+  env_.sim().run_for(from_millis(500));
+  ASSERT_GT(idle->completed(), 200u);
+  const std::size_t idle_replies = replies_.size();
+  env_.crash(2);
+  env_.sim().run_for(from_millis(1000));
+  active->stop();
+  env_.sim().run_for(from_millis(200));
+
+  EXPECT_EQ(replies_.size(), idle_replies)
+      << "the takeover re-sent replies of long-idle sessions";
+  EXPECT_EQ(active->outstanding(), 0u);
+  EXPECT_EQ(active->retries(), 0u);
+}
+
+TEST_F(ReplierTest, RestartedReplierAnswersWhileReplaying) {
+  // Replier 2 crashes under load and restarts 300 ms later. On its return
+  // it is the replier again while it still replays the commands it missed;
+  // they and the new ones are answered without a client retry.
+  build_with_checkpoints();
+  constexpr TimeNs kRetry = 10 * kSecond;
+  auto* client = spawn_client(8, kRetry);
+  env_.sim().run_for(from_millis(700));
+  const std::uint64_t before_crash = client->completed();
+  ASSERT_GT(before_crash, 100u);
+  env_.crash(2);
+  env_.sim().run_for(from_millis(300));
+  env_.recover(2);
+  env_.sim().run_for(from_millis(1500));
+  const std::uint64_t after_restart = client->completed();
+  client->stop();
+  env_.sim().run_for(kRetry + kSecond);
+
+  EXPECT_EQ(client->outstanding(), 0u);
+  EXPECT_EQ(client->retries(), 0u);
+  EXPECT_GT(after_restart, before_crash + 100);
+  expect_exactly_once(*client, {1, 2, 3});
+  // 2 answers again once it is back in the view.
+  EXPECT_EQ(replies_.back().from, 2);
+}
+
+TEST_F(ReplierTest, ReplierRestoredFromPeerCheckpointAnswersWhatItCovers) {
+  // Replier 2 is down long enough for the acceptors to trim past its last
+  // checkpoint, so on its return it must install a peer's checkpoint. Its
+  // first query to its peers is lost (a short partition), so it asks again
+  // a second later, when the view has long named it the replier again: 1
+  // and 3 executed the commands the checkpoint it gets covers and left
+  // them to 2, which never executes them. They are answered by 2's
+  // re-send, not by a client retry.
+  build_with_checkpoints();
+  constexpr TimeNs kRetry = 30 * kSecond;
+  auto* client = spawn_client(8, kRetry);
+  env_.sim().run_for(from_millis(700));
+  env_.crash(2);
+  env_.sim().run_for(from_seconds(5));
+  ASSERT_GT(replica(1)->handler(kRing)->log()->trimmed_to(), 0u);
+  for (ProcessId peer : {1, 3}) env_.net().set_partitioned(2, peer, true);
+  env_.recover(2);
+  env_.sim().run_for(from_millis(300));
+  for (ProcessId peer : {1, 3}) env_.net().set_partitioned(2, peer, false);
+  env_.sim().run_for(from_seconds(3));
+  client->stop();
+  env_.sim().run_for(from_seconds(1));
+
+  EXPECT_GE(replica(2)->checkpointer().remote_installs(), 1u);
+  EXPECT_EQ(client->outstanding(), 0u);
+  EXPECT_EQ(client->retries(), 0u);
+  expect_exactly_once(*client, {1, 2, 3});
 }
 
 // --- Client sessions and retry timing, against stub proposers -------------
