@@ -33,10 +33,10 @@ struct Probe {
 /// issue timestamp for latency measurement.
 class LoadNode : public multiring::MultiRingNode {
  public:
-  LoadNode(sim::Env& env, ProcessId id, coord::Registry* reg,
+  LoadNode(runtime::Runtime& rt, coord::Registry* reg,
            multiring::NodeConfig cfg, GroupId load_ring, int inflight,
            std::shared_ptr<Probe> probe)
-      : MultiRingNode(env, id, reg, std::move(cfg)),
+      : MultiRingNode(rt, reg, std::move(cfg)),
         load_ring_(load_ring),
         inflight_(inflight),
         probe_(std::move(probe)) {
@@ -79,7 +79,7 @@ struct Point {
 Point run(std::uint32_t merge_m, double lambda, bool load_both) {
   sim::Env env(99);
   bench::configure_cluster(env);
-  coord::Registry registry(env);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender));
   for (GroupId g : {0, 1}) {
     coord::RingConfig rc;
     rc.ring = g;

@@ -77,7 +77,8 @@ RunResult run(double offered_ops, std::uint32_t workers, TimeNs think_time,
               std::uint64_t seed) {
   sim::Env env(seed);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
   auto dep = mrpstore::build_store(env, registry, store_options());
   for (ProcessId r : dep.all_replicas()) env.set_cpu(r, bench::server_cpu());
   auto client_helper = std::make_shared<mrpstore::StoreClient>(dep);

@@ -94,7 +94,8 @@ struct RunResult {
 RunResult run(int cross_pct, const Args& args, std::uint64_t seed) {
   sim::Env env(seed);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
 
   mrpstore::StoreOptions so;
   so.partitions = kPartitions;

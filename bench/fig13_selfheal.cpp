@@ -63,7 +63,8 @@ class CounterSm final : public smr::StateMachine {
 int main() {
   sim::Env env(131);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
 
   coord::RingConfig cfg;
   cfg.ring = kRing;

@@ -49,9 +49,9 @@ const std::size_t kSizes[] = {512, 2048, 8192, 32768};
 /// can match them to their issue time.
 class DummyNode : public multiring::MultiRingNode {
  public:
-  DummyNode(sim::Env& env, ProcessId id, coord::Registry* reg,
+  DummyNode(runtime::Runtime& rt, coord::Registry* reg,
             multiring::NodeConfig cfg, std::size_t value_bytes, bool driver)
-      : MultiRingNode(env, id, reg, std::move(cfg)),
+      : MultiRingNode(rt, reg, std::move(cfg)),
         value_bytes_(value_bytes),
         driver_(driver) {
     set_deliver([this](GroupId, InstanceId, const Payload& p) {
@@ -125,7 +125,8 @@ Row run_config(const StorageMode& mode, std::size_t value_bytes,
                Histogram* cdf_out) {
   sim::Env env(2014);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
 
   coord::RingConfig rc;
   rc.ring = kRing;

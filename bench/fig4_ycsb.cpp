@@ -185,7 +185,8 @@ RunResult run_cassandra(char wl) {
 RunResult run_mrpstore(char wl, bool global_ring) {
   sim::Env env(42);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
   mrpstore::StoreOptions so;
   so.partitions = 3;
   so.replicas_per_partition = 3;

@@ -37,7 +37,8 @@ struct Point {
 Point run_dlog(int threads) {
   sim::Env env(51);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
 
   dlog::DLogOptions opts;
   opts.num_logs = 2;

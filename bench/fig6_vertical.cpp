@@ -32,7 +32,8 @@ struct Point {
 Point run(std::size_t rings) {
   sim::Env env(60 + rings);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
 
   dlog::DLogOptions opts;
   opts.num_logs = rings;

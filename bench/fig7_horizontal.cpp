@@ -48,7 +48,8 @@ struct Point {
 Point run(int regions) {
   sim::Env env(70 + static_cast<std::uint64_t>(regions));
   bench::configure_ec2(env);
-  coord::Registry registry(env, 500 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           500 * kMillisecond);
 
   ringpaxos::RingParams wan;
   wan.lambda = 2000;

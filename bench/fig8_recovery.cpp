@@ -37,7 +37,8 @@ constexpr TimeNs kWindow = 2 * kSecond;
 int main() {
   sim::Env env(88);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
 
   mrpstore::StoreOptions so;
   so.partitions = 1;

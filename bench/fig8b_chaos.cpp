@@ -49,7 +49,8 @@ constexpr TimeNs kStallLen = 5 * kSecond;
 int main() {
   sim::Env env(kSeed);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
 
   mrpstore::StoreOptions so;
   so.partitions = 1;

@@ -42,7 +42,8 @@ constexpr int kTotalTicks = 56;  // run until t = 14 s
 int main() {
   sim::Env env(97);
   bench::configure_cluster(env);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
 
   // One partition owning the whole key space (RangePartitioner, so it can
   // shed a sub-range online), replicas CPU-bound like the fig4 cluster.

@@ -113,7 +113,8 @@ BENCHMARK(BM_SimulatorEventLoop);
 void BM_RingPaxosInstance(benchmark::State& state) {
   sim::Env env(4);
   env.net().set_default_link({from_micros(50), 10e9});
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
   coord::RingConfig rc;
   rc.ring = 0;
   rc.order = {1, 2, 3};
@@ -124,9 +125,9 @@ void BM_RingPaxosInstance(benchmark::State& state) {
   std::uint64_t delivered = 0;
   class Node : public multiring::MultiRingNode {
    public:
-    Node(sim::Env& e, ProcessId id, coord::Registry* r,
+    Node(runtime::Runtime& rt, coord::Registry* r,
          multiring::NodeConfig c, std::uint64_t* counter)
-        : MultiRingNode(e, id, r, std::move(c)) {
+        : MultiRingNode(rt, r, std::move(c)) {
       set_deliver([counter](GroupId, InstanceId, const Payload&) {
         ++*counter;
       });

@@ -108,19 +108,19 @@ LoopResult run_event_loop(std::uint64_t total, int chains,
 
 /// Minimal process for the delivery path: forwards each message to the next
 /// process in the ring until the budget is exhausted.
-struct PingMsg final : sim::Message {
+struct PingMsg final : runtime::Message {
   std::uint64_t remaining = 0;
   int kind() const override { return 1; }
   std::size_t wire_size() const override { return 64; }
 };
 
-class Forwarder : public sim::Process {
+class Forwarder : public runtime::Node {
  public:
-  Forwarder(sim::Env& env, ProcessId id, int n_procs)
-      : sim::Process(env, id), n_procs_(n_procs) {}
+  Forwarder(runtime::Runtime& rt, int n_procs)
+      : runtime::Node(rt), n_procs_(n_procs) {}
 
-  void on_message(ProcessId /*from*/, const sim::Message& m) override {
-    const auto& ping = sim::msg_cast<PingMsg>(m);
+  void on_message(ProcessId /*from*/, const runtime::Message& m) override {
+    const auto& ping = runtime::msg_cast<PingMsg>(m);
     ++delivered;
     if (ping.remaining == 0) return;
     auto next = std::make_shared<PingMsg>();

@@ -54,7 +54,7 @@ std::int64_t parse_balance(const Bytes& b) {
 int main() {
   sim::Env env(12);
   env.net().set_default_link({from_micros(50), 10e9});
-  coord::Registry registry(env);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender));
 
   mrpstore::StoreOptions so;
   so.partitions = 3;

@@ -24,7 +24,7 @@ using namespace mrp;
 int main() {
   sim::Env env(23);
   env.net().set_default_link({from_micros(50), 10e9});
-  coord::Registry registry(env);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender));
 
   dlog::DLogOptions opts;
   opts.num_logs = 3;  // three topics

@@ -33,7 +33,8 @@ mrpstore::KvStateMachine& kv_of(sim::Env& env, ProcessId r) {
 int main() {
   sim::Env env(34);
   env.net().set_default_link({from_micros(50), 10e9});
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
 
   mrpstore::StoreOptions so;
   so.partitions = 1;

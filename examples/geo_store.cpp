@@ -27,7 +27,8 @@ using namespace mrp;
 
 int main() {
   sim::Env env(2026);
-  coord::Registry registry(env, 500 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           500 * kMillisecond);
 
   // Geography: 0=eu-west, 1=us-east, 2=us-west-1, 3=us-west-2 (one-way ms).
   const char* names[] = {"eu-west-1", "us-east-1", "us-west-1", "us-west-2"};
@@ -47,7 +48,11 @@ int main() {
   so.partitions = 4;
   so.replicas_per_partition = 3;
   so.global_ring = true;
-  so.sites = {0, 1, 2, 3};
+  // Replica r of partition p is process first_pid + p * 3 + r; place each
+  // partition in its region before the replicas start.
+  for (int p = 0; p < 4; ++p) {
+    for (int r = 0; r < 3; ++r) env.net().set_site(so.first_pid + p * 3 + r, p);
+  }
   so.partitioner =
       mrpstore::RangePartitioner({"region1", "region2", "region3"}).encode();
   so.ring_params.lambda = 2000;
@@ -111,7 +116,7 @@ int main() {
   spec.global_params = so.global_params;
   spec.replica_options = so.replica_options;
   spec.admin_pid = 899;
-  spec.site = 3;
+  for (ProcessId pid : spec.new_replicas) env.net().set_site(pid, 3);
   split_partition(env, registry, dep, spec);
 
   env.sim().run_for(from_seconds(8));

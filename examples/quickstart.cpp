@@ -27,9 +27,9 @@ class EchoNode : public multiring::MultiRingNode {
   using Journal =
       std::shared_ptr<std::map<ProcessId, std::vector<std::string>>>;
 
-  EchoNode(sim::Env& env, ProcessId id, coord::Registry* registry,
+  EchoNode(runtime::Runtime& rt, coord::Registry* registry,
            multiring::NodeConfig config, Journal journal)
-      : MultiRingNode(env, id, registry, std::move(config)) {
+      : MultiRingNode(rt, registry, std::move(config)) {
     set_deliver([this, journal](GroupId g, InstanceId i, const Payload& p) {
       (void)i;
       (*journal)[this->id()].push_back("g" + std::to_string(g) + ":" +
@@ -43,7 +43,7 @@ class EchoNode : public multiring::MultiRingNode {
 int main() {
   sim::Env env(/*seed=*/7);
   env.net().set_default_link({from_micros(50), 10e9});  // 10 Gbps cluster
-  coord::Registry registry(env);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender));
 
   // Two rings: nodes 1-3 are members of both; node 4 joins ring 2 only.
   for (GroupId ring : {1, 2}) {

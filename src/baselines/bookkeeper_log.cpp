@@ -4,13 +4,13 @@
 
 namespace mrp::baselines {
 
-BookieNode::BookieNode(sim::Env& env, ProcessId id, BookieOptions options,
+BookieNode::BookieNode(runtime::Runtime& rt, BookieOptions options,
                        int bookie_index)
-    : sim::Process(env, id), options_(options), bookie_index_(bookie_index) {}
+    : runtime::Node(rt), options_(options), bookie_index_(bookie_index) {}
 
-void BookieNode::on_message(ProcessId /*from*/, const sim::Message& m) {
+void BookieNode::on_message(ProcessId /*from*/, const runtime::Message& m) {
   if (m.kind() != smr::kMsgClientRequest) return;
-  const auto& req = sim::msg_cast<smr::MsgClientRequest>(m);
+  const auto& req = runtime::msg_cast<smr::MsgClientRequest>(m);
   if (batch_.empty()) {
     oldest_enqueued_ = now();
     // Arm the flush-interval timer for this batch.
@@ -39,8 +39,8 @@ void BookieNode::start_flush() {
   batch_.clear();
   batch_bytes_ = 0;
 
-  env().disk(id(), options_.disk_index)
-      .write(bytes, guard([this, acked] {
+  rt().durable_write(
+      options_.disk_index, bytes, guard([this, acked] {
         journaled_ += acked->size();
         for (const PendingEntry& e : *acked) {
           auto reply = std::make_shared<smr::MsgClientReply>();
@@ -59,7 +59,7 @@ void BookieNode::start_flush() {
       }));
 }
 
-BookkeeperDeployment build_bookkeeper(sim::Env& env,
+BookkeeperDeployment build_bookkeeper(runtime::Cluster& cluster,
                                       const BookkeeperOptions& options) {
   MRP_CHECK(options.ack_quorum >= 1 && options.ack_quorum <= options.bookies);
   BookkeeperDeployment dep;
@@ -67,7 +67,8 @@ BookkeeperDeployment build_bookkeeper(sim::Env& env,
   ProcessId pid = options.first_pid;
   for (std::size_t b = 0; b < options.bookies; ++b) {
     dep.bookies.push_back(pid);
-    env.spawn<BookieNode>(pid, options.bookie, static_cast<int>(b));
+    cluster.add_node(pid, runtime::factory_of<BookieNode>(
+                              options.bookie, static_cast<int>(b)));
     ++pid;
   }
   return dep;

@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "sim/env.hpp"
-#include "sim/process.hpp"
+#include "runtime/cluster.hpp"
+#include "runtime/node.hpp"
 #include "smr/client.hpp"
 #include "smr/command.hpp"
 
@@ -28,12 +28,11 @@ struct BookieOptions {
   int disk_index = 0;
 };
 
-class BookieNode : public sim::Process {
+class BookieNode : public runtime::Node {
  public:
-  BookieNode(sim::Env& env, ProcessId id, BookieOptions options,
-             int bookie_index);
+  BookieNode(runtime::Runtime& rt, BookieOptions options, int bookie_index);
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on_message(ProcessId from, const runtime::Message& m) override;
 
   std::uint64_t entries_journaled() const { return journaled_; }
   std::uint64_t flushes() const { return flushes_; }
@@ -70,7 +69,7 @@ struct BookkeeperDeployment {
   std::size_t ack_quorum = 2;
 };
 
-BookkeeperDeployment build_bookkeeper(sim::Env& env,
+BookkeeperDeployment build_bookkeeper(runtime::Cluster& cluster,
                                       const BookkeeperOptions& options);
 
 /// Append request: the entry goes to every bookie; completion when

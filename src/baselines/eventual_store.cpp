@@ -10,10 +10,9 @@ using mrpstore::OpType;
 using mrpstore::Result;
 using mrpstore::Status;
 
-EventualNode::EventualNode(sim::Env& env, ProcessId id,
-                           std::vector<ProcessId> peers, int partition_tag,
-                           TimeNs scan_entry_cost)
-    : sim::Process(env, id), peers_(std::move(peers)),
+EventualNode::EventualNode(runtime::Runtime& rt, std::vector<ProcessId> peers,
+                           int partition_tag, TimeNs scan_entry_cost)
+    : runtime::Node(rt), peers_(std::move(peers)),
       partition_tag_(partition_tag), scan_entry_cost_(scan_entry_cost) {}
 
 void EventualNode::apply_lww(const std::string& key, Entry entry) {
@@ -92,10 +91,11 @@ Bytes EventualNode::execute(const Bytes& op_bytes) {
   return mrpstore::encode_result(res);
 }
 
-void EventualNode::on_message(ProcessId /*from*/, const sim::Message& m) {
+void EventualNode::on_message(ProcessId /*from*/,
+                              const runtime::Message& m) {
   switch (m.kind()) {
     case smr::kMsgClientRequest: {
-      const auto& req = sim::msg_cast<smr::MsgClientRequest>(m);
+      const auto& req = runtime::msg_cast<smr::MsgClientRequest>(m);
       auto reply = std::make_shared<smr::MsgClientReply>();
       reply->session = req.command.session;
       reply->seq = req.command.seq;
@@ -105,7 +105,7 @@ void EventualNode::on_message(ProcessId /*from*/, const sim::Message& m) {
       return;
     }
     case kMsgEvReplicate: {
-      const auto& rep = sim::msg_cast<MsgEvReplicate>(m);
+      const auto& rep = runtime::msg_cast<MsgEvReplicate>(m);
       apply_lww(rep.key, Entry{rep.value, rep.ts, rep.writer, rep.tombstone});
       return;
     }
@@ -135,7 +135,7 @@ std::uint64_t EventualNode::digest() const {
   return h;
 }
 
-EventualDeployment build_eventual_store(sim::Env& env,
+EventualDeployment build_eventual_store(runtime::Cluster& cluster,
                                         const EventualOptions& options) {
   EventualDeployment dep;
   dep.partitioner =
@@ -154,8 +154,9 @@ EventualDeployment build_eventual_store(sim::Env& env,
   }
   for (std::size_t p = 0; p < options.partitions; ++p) {
     for (ProcessId r : dep.replicas[p]) {
-      env.spawn<EventualNode>(r, dep.replicas[p], static_cast<int>(p),
-                              options.scan_entry_cost);
+      cluster.add_node(r, runtime::factory_of<EventualNode>(
+                              dep.replicas[p], static_cast<int>(p),
+                              options.scan_entry_cost));
     }
   }
   return dep;

@@ -19,15 +19,15 @@
 #include "common/types.hpp"
 #include "mrpstore/client.hpp"
 #include "mrpstore/store.hpp"
-#include "sim/env.hpp"
-#include "sim/process.hpp"
+#include "runtime/cluster.hpp"
+#include "runtime/node.hpp"
 #include "smr/client.hpp"
 
 namespace mrp::baselines {
 
 constexpr int kMsgEvReplicate = 500;
 
-struct MsgEvReplicate final : sim::Message {
+struct MsgEvReplicate final : runtime::Message {
   std::string key;
   Bytes value;
   TimeNs ts = 0;
@@ -39,14 +39,14 @@ struct MsgEvReplicate final : sim::Message {
   }
 };
 
-class EventualNode : public sim::Process {
+class EventualNode : public runtime::Node {
  public:
   /// scan_entry_cost: CPU charged per entry returned by a range scan
   /// (models SSTable merge overhead; the paper's Workload E pain point).
-  EventualNode(sim::Env& env, ProcessId id, std::vector<ProcessId> peers,
+  EventualNode(runtime::Runtime& rt, std::vector<ProcessId> peers,
                int partition_tag, TimeNs scan_entry_cost = 0);
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on_message(ProcessId from, const runtime::Message& m) override;
 
   std::size_t size() const { return data_.size(); }
   void preload(std::string key, Bytes value);
@@ -82,7 +82,7 @@ struct EventualDeployment {
   std::shared_ptr<mrpstore::Partitioner> partitioner;
 };
 
-EventualDeployment build_eventual_store(sim::Env& env,
+EventualDeployment build_eventual_store(runtime::Cluster& cluster,
                                         const EventualOptions& options);
 
 /// Builds ClientNode requests against an EventualDeployment (same surface as

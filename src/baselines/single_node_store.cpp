@@ -9,12 +9,12 @@ using mrpstore::OpType;
 using mrpstore::Result;
 using mrpstore::Status;
 
-SingleNodeStore::SingleNodeStore(sim::Env& env, ProcessId id)
-    : sim::Process(env, id) {}
+SingleNodeStore::SingleNodeStore(runtime::Runtime& rt) : runtime::Node(rt) {}
 
-void SingleNodeStore::on_message(ProcessId /*from*/, const sim::Message& m) {
+void SingleNodeStore::on_message(ProcessId /*from*/,
+                                 const runtime::Message& m) {
   if (m.kind() != smr::kMsgClientRequest) return;
-  const auto& req = sim::msg_cast<smr::MsgClientRequest>(m);
+  const auto& req = runtime::msg_cast<smr::MsgClientRequest>(m);
   const Op op = mrpstore::decode_op(req.command.op);
   Result res;
   switch (op.type) {

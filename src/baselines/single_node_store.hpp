@@ -10,17 +10,16 @@
 
 #include "common/types.hpp"
 #include "mrpstore/store.hpp"
-#include "sim/env.hpp"
-#include "sim/process.hpp"
+#include "runtime/node.hpp"
 #include "smr/client.hpp"
 
 namespace mrp::baselines {
 
-class SingleNodeStore : public sim::Process {
+class SingleNodeStore : public runtime::Node {
  public:
-  SingleNodeStore(sim::Env& env, ProcessId id);
+  explicit SingleNodeStore(runtime::Runtime& rt);
 
-  void on_message(ProcessId from, const sim::Message& m) override;
+  void on_message(ProcessId from, const runtime::Message& m) override;
 
   std::size_t size() const { return data_.size(); }
   void preload(std::string key, Bytes value);

@@ -49,10 +49,6 @@
 #include "runtime/message.hpp"
 #include "runtime/runtime.hpp"
 
-namespace mrp::sim {
-class Env;
-}
-
 namespace mrp::coord {
 
 /// Sender id used for registry notifications; not a registered process (the
@@ -173,10 +169,6 @@ class Registry {
   /// The runtime is the registry's host actor (an oracle: it only sends).
   explicit Registry(runtime::Runtime& rt,
                     TimeNs fd_interval = 100 * kMillisecond);
-
-  /// Sim convenience: hosts the registry on the Env's oracle runtime for
-  /// kRegistrySender (defined in registry_sim.cpp, the only sim-coupled TU).
-  explicit Registry(sim::Env& env, TimeNs fd_interval = 100 * kMillisecond);
 
   // --- rings & views ---
 

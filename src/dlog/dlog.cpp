@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "sim/env.hpp"
 
 namespace mrp::dlog {
 
@@ -189,20 +188,24 @@ std::uint64_t LogStateMachine::digest() const {
   return h;
 }
 
-std::uint64_t DLogDeployment::server_digest(sim::Env& env,
+std::uint64_t DLogDeployment::server_digest(runtime::Cluster& cluster,
                                             ProcessId pid) const {
-  auto* rep = env.process_as<smr::ReplicaNode>(pid);
-  return dynamic_cast<const LogStateMachine&>(rep->state_machine()).digest();
+  std::uint64_t digest = 0;
+  smr::with_state_machine<const LogStateMachine>(
+      cluster, pid, [&](const LogStateMachine& sm) { digest = sm.digest(); });
+  return digest;
 }
 
-Position DLogDeployment::server_next_position(sim::Env& env, ProcessId pid,
-                                              LogId log) const {
-  auto* rep = env.process_as<smr::ReplicaNode>(pid);
-  return dynamic_cast<const LogStateMachine&>(rep->state_machine())
-      .next_position(log);
+Position DLogDeployment::server_next_position(runtime::Cluster& cluster,
+                                              ProcessId pid, LogId log) const {
+  Position next = 0;
+  smr::with_state_machine<const LogStateMachine>(
+      cluster, pid,
+      [&](const LogStateMachine& sm) { next = sm.next_position(log); });
+  return next;
 }
 
-DLogDeployment build_dlog(sim::Env& env, coord::Registry& registry,
+DLogDeployment build_dlog(runtime::Cluster& cluster, coord::Registry& registry,
                           const DLogOptions& options) {
   MRP_CHECK(options.num_logs >= 1);
   MRP_CHECK(options.servers >= 1);
@@ -252,14 +255,15 @@ DLogDeployment build_dlog(sim::Env& env, coord::Registry& registry,
 
   const LogStateMachineOptions sm_options = options.sm_options;
   for (ProcessId s : dep.servers) {
-    env.spawn<smr::ReplicaNode>(
-        s, &registry, node_cfg,
-        smr::StateMachineFactory(
-            [logs, sm_options](runtime::Runtime& r, ProcessId self) {
-              return std::make_unique<LogStateMachine>(r, self, logs,
-                                                       sm_options);
-            }),
-        options.replica_options);
+    cluster.add_node(
+        s, runtime::factory_of<smr::ReplicaNode>(
+               &registry, node_cfg,
+               smr::StateMachineFactory(
+                   [logs, sm_options](runtime::Runtime& r, ProcessId self) {
+                     return std::make_unique<LogStateMachine>(r, self, logs,
+                                                              sm_options);
+                   }),
+               options.replica_options));
   }
   return dep;
 }

@@ -21,6 +21,7 @@
 #include "codec/codec.hpp"
 #include "common/types.hpp"
 #include "coord/registry.hpp"
+#include "runtime/cluster.hpp"
 #include "smr/replica.hpp"
 #include "smr/state_machine.hpp"
 
@@ -130,15 +131,15 @@ struct DLogDeployment {
   /// convergence probe used by chaos scenarios (fault::watch_dlog) and
   /// tests: all servers must agree once a run drains. `pid` must be an
   /// alive server of this deployment.
-  std::uint64_t server_digest(sim::Env& env, ProcessId pid) const;
+  std::uint64_t server_digest(runtime::Cluster& cluster, ProcessId pid) const;
 
   /// Append position the server would assign next for `log` (durability
   /// probes: an acked append must be below this at every alive server).
-  Position server_next_position(sim::Env& env, ProcessId pid,
+  Position server_next_position(runtime::Cluster& cluster, ProcessId pid,
                                 LogId log) const;
 };
 
-DLogDeployment build_dlog(sim::Env& env, coord::Registry& registry,
+DLogDeployment build_dlog(runtime::Cluster& cluster, coord::Registry& registry,
                           const DLogOptions& options);
 
 }  // namespace mrp::dlog

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "sim/env.hpp"
 
 namespace mrp::mrpstore {
 

@@ -5,17 +5,16 @@
 
 #include "common/check.hpp"
 #include "smr/client.hpp"
-#include "sim/env.hpp"
 
 namespace mrp::mrpstore {
 
-StoreReplicaNode::StoreReplicaNode(sim::Env& env, ProcessId id,
+StoreReplicaNode::StoreReplicaNode(runtime::Runtime& rt,
                                    coord::Registry* registry,
                                    multiring::NodeConfig config,
                                    smr::StateMachineFactory factory,
                                    smr::ReplicaOptions options,
                                    ElasticOptions elastic)
-    : smr::ReplicaNode(env, id, registry, std::move(config),
+    : smr::ReplicaNode(rt, registry, std::move(config),
                        std::move(factory), std::move(options)),
       elastic_(std::move(elastic)) {}
 
@@ -158,8 +157,9 @@ void StoreReplicaNode::on_app_message(ProcessId from, const runtime::Message& m)
   }
 }
 
-std::uint64_t split_partition(sim::Env& env, coord::Registry& registry,
-                              StoreDeployment& dep, const SplitSpec& spec) {
+std::uint64_t split_partition(runtime::Cluster& cluster,
+                              coord::Registry& registry, StoreDeployment& dep,
+                              const SplitSpec& spec) {
   MRP_CHECK_MSG(!spec.new_replicas.empty(), "split needs new replicas");
   MRP_CHECK(spec.new_group >= 0);
 
@@ -194,9 +194,6 @@ std::uint64_t split_partition(sim::Env& env, coord::Registry& registry,
       registry.add_ring_member(dep.global_group, pid);
     }
   }
-  if (spec.site >= 0) {
-    for (ProcessId pid : spec.new_replicas) env.net().set_site(pid, spec.site);
-  }
 
   multiring::NodeConfig node_cfg;
   node_cfg.merge_m = spec.merge_m;
@@ -221,14 +218,16 @@ std::uint64_t split_partition(sim::Env& env, coord::Registry& registry,
   // await-handoff bootstrap across crashes.
   const std::string old_encoded = old_schema.encode();
   for (ProcessId pid : spec.new_replicas) {
-    env.spawn<StoreReplicaNode>(
-        pid, &registry, node_cfg,
-        smr::StateMachineFactory([old_encoded](runtime::Runtime&, ProcessId) {
-          auto sm = std::make_unique<KvStateMachine>();
-          sm->set_schema(PartitionSchema::decode(old_encoded));
-          return sm;
-        }),
-        ro, eo);
+    cluster.add_node(
+        pid, runtime::factory_of<StoreReplicaNode>(
+                 &registry, node_cfg,
+                 smr::StateMachineFactory(
+                     [old_encoded](runtime::Runtime&, ProcessId) {
+                       auto sm = std::make_unique<KvStateMachine>();
+                       sm->set_schema(PartitionSchema::decode(old_encoded));
+                       return sm;
+                     }),
+                 ro, eo));
   }
 
   // --- publish the successor schema, then the ordered cutover command ---
@@ -249,15 +248,17 @@ std::uint64_t split_partition(sim::Env& env, coord::Registry& registry,
   // durable once every source partition has ordered it, and the client's
   // session dedup makes retries harmless.
   auto issued = std::make_shared<bool>(false);
-  env.spawn<smr::ClientNode>(
-      spec.admin_pid, smr::ClientNode::Options{1, kSecond, 0},
-      smr::ClientNode::NextFn(
-          [issued, req](std::uint32_t) -> std::optional<smr::Request> {
-            if (*issued) return std::nullopt;
-            *issued = true;
-            return req;
-          }),
-      smr::ClientNode::DoneFn(nullptr));
+  cluster.add_node(
+      spec.admin_pid,
+      runtime::factory_of<smr::ClientNode>(
+          smr::ClientNode::Options{1, kSecond, 0},
+          smr::ClientNode::NextFn(
+              [issued, req](std::uint32_t) -> std::optional<smr::Request> {
+                if (*issued) return std::nullopt;
+                *issued = true;
+                return req;
+              }),
+          smr::ClientNode::DoneFn(nullptr)));
 
   // --- driver-side routing update ---
   dep.partitioner = next.partitioner;

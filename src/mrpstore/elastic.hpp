@@ -60,8 +60,8 @@ struct MsgHandoffPull final : runtime::Message {
   std::size_t wire_size() const override { return 20; }
 };
 
-/// Bootstrap configuration of a scale-out replica; copyable so Env::spawn
-/// re-creates the node identically after a crash.
+/// Bootstrap configuration of a scale-out replica; copyable so the node
+/// factory re-creates the node identically after a crash.
 struct ElasticOptions {
   /// True for replicas of a freshly split-off partition: delivery stays
   /// paused until one handoff piece per source group is installed.
@@ -80,7 +80,7 @@ struct ElasticOptions {
 /// pieces before delivering anything.
 class StoreReplicaNode : public smr::ReplicaNode {
  public:
-  StoreReplicaNode(sim::Env& env, ProcessId id, coord::Registry* registry,
+  StoreReplicaNode(runtime::Runtime& rt, coord::Registry* registry,
                    multiring::NodeConfig config,
                    smr::StateMachineFactory factory,
                    smr::ReplicaOptions options, ElasticOptions elastic);
@@ -128,8 +128,6 @@ struct SplitSpec {
   /// Pid for the one-shot admin client that multicasts the kSplit command
   /// (must be unused; use distinct pids for successive splits).
   ProcessId admin_pid = 899;
-  /// Optional site for the new replicas (-1 = no site model).
-  int site = -1;
 };
 
 /// Splits `spec.source_group` at `spec.split_key` into a new partition
@@ -138,7 +136,8 @@ struct SplitSpec {
 /// cutover command. Requires a RangePartitioner schema (hash schemas cannot
 /// shed a contiguous sub-range). Updates `dep`'s routing in place and
 /// returns the new schema version.
-std::uint64_t split_partition(sim::Env& env, coord::Registry& registry,
-                              StoreDeployment& dep, const SplitSpec& spec);
+std::uint64_t split_partition(runtime::Cluster& cluster,
+                              coord::Registry& registry, StoreDeployment& dep,
+                              const SplitSpec& spec);
 
 }  // namespace mrp::mrpstore

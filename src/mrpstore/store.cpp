@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "mrpstore/elastic.hpp"
-#include "sim/env.hpp"
 
 namespace mrp::mrpstore {
 
@@ -489,19 +488,24 @@ void StoreDeployment::refresh(const coord::Registry& registry) {
   schema_version = s.version;
 }
 
-std::uint64_t StoreDeployment::replica_digest(sim::Env& env,
+std::uint64_t StoreDeployment::replica_digest(runtime::Cluster& cluster,
                                               ProcessId pid) const {
-  auto* rep = env.process_as<smr::ReplicaNode>(pid);
-  return dynamic_cast<const KvStateMachine&>(rep->state_machine()).digest();
+  std::uint64_t digest = 0;
+  smr::with_state_machine<const KvStateMachine>(
+      cluster, pid, [&](const KvStateMachine& kv) { digest = kv.digest(); });
+  return digest;
 }
 
 std::optional<Bytes> StoreDeployment::replica_get(
-    sim::Env& env, ProcessId pid, const std::string& key) const {
-  auto* rep = env.process_as<smr::ReplicaNode>(pid);
-  return dynamic_cast<const KvStateMachine&>(rep->state_machine()).get(key);
+    runtime::Cluster& cluster, ProcessId pid, const std::string& key) const {
+  std::optional<Bytes> value;
+  smr::with_state_machine<const KvStateMachine>(
+      cluster, pid, [&](const KvStateMachine& kv) { value = kv.get(key); });
+  return value;
 }
 
-StoreDeployment build_store(sim::Env& env, coord::Registry& registry,
+StoreDeployment build_store(runtime::Cluster& cluster,
+                            coord::Registry& registry,
                             const StoreOptions& options) {
   MRP_CHECK(options.partitions >= 1);
   MRP_CHECK(options.replicas_per_partition >= 1);
@@ -549,14 +553,6 @@ StoreDeployment build_store(sim::Env& env, coord::Registry& registry,
     registry.create_ring(cfg);
   }
 
-  // Optional geography.
-  if (!options.sites.empty()) {
-    for (std::size_t p = 0; p < options.partitions; ++p) {
-      const int site = options.sites[p % options.sites.size()];
-      for (ProcessId r : dep.replicas[p]) env.net().set_site(r, site);
-    }
-  }
-
   // Spawn the replicas.
   for (std::size_t p = 0; p < options.partitions; ++p) {
     multiring::NodeConfig cfg;
@@ -570,14 +566,16 @@ StoreDeployment build_store(sim::Env& env, coord::Registry& registry,
     smr::ReplicaOptions ro = options.replica_options;
     ro.partition_tag = static_cast<int>(p);
     for (ProcessId r : dep.replicas[p]) {
-      env.spawn<StoreReplicaNode>(
-          r, &registry, cfg,
-          smr::StateMachineFactory([encoded_schema](runtime::Runtime&, ProcessId) {
-            auto sm = std::make_unique<KvStateMachine>();
-            sm->set_schema(PartitionSchema::decode(encoded_schema));
-            return sm;
-          }),
-          ro, ElasticOptions{});
+      cluster.add_node(
+          r, runtime::factory_of<StoreReplicaNode>(
+                 &registry, cfg,
+                 smr::StateMachineFactory(
+                     [encoded_schema](runtime::Runtime&, ProcessId) {
+                       auto sm = std::make_unique<KvStateMachine>();
+                       sm->set_schema(PartitionSchema::decode(encoded_schema));
+                       return sm;
+                     }),
+                 ro, ElasticOptions{}));
     }
   }
   return dep;

@@ -27,6 +27,7 @@
 #include "common/types.hpp"
 #include "coord/registry.hpp"
 #include "mrpstore/partitioning.hpp"
+#include "runtime/cluster.hpp"
 #include "smr/replica.hpp"
 #include "smr/state_machine.hpp"
 #include "storage/checkpoint_store.hpp"
@@ -177,9 +178,6 @@ struct StoreOptions {
   std::string partitioner;  // encoded; default: hash over `partitions`
   ProcessId first_pid = 100;
   GroupId first_group = 0;
-  /// Optional site assignment: partition i's processes live at site
-  /// sites[i % sites.size()] (empty = no site model).
-  std::vector<int> sites;
 };
 
 /// Everything a client or test needs to talk to a deployed store. A split
@@ -206,17 +204,19 @@ struct StoreDeployment {
   /// convergence probe used by chaos scenarios (fault::watch_store) and
   /// tests: replicas of one partition must agree once the run drains.
   /// `pid` must be an alive replica of this deployment.
-  std::uint64_t replica_digest(sim::Env& env, ProcessId pid) const;
+  std::uint64_t replica_digest(runtime::Cluster& cluster, ProcessId pid) const;
 
   /// Value of `key` at one replica, bypassing consensus (durability probes:
   /// an acked write must be readable at every alive replica).
-  std::optional<Bytes> replica_get(sim::Env& env, ProcessId pid,
+  std::optional<Bytes> replica_get(runtime::Cluster& cluster, ProcessId pid,
                                    const std::string& key) const;
 };
 
 /// Creates rings and replica processes for a full MRP-Store deployment and
-/// publishes schema version 1 to the registry.
-StoreDeployment build_store(sim::Env& env, coord::Registry& registry,
+/// publishes schema version 1 to the registry. Replica r of partition p is
+/// process first_pid + p * replicas_per_partition + r.
+StoreDeployment build_store(runtime::Cluster& cluster,
+                            coord::Registry& registry,
                             const StoreOptions& options);
 
 }  // namespace mrp::mrpstore

@@ -31,10 +31,6 @@
 #include "ringpaxos/ring_handler.hpp"
 #include "runtime/node.hpp"
 
-namespace mrp::sim {
-class Env;
-}
-
 namespace mrp::multiring {
 
 /// Declarative participation in one ring.
@@ -66,11 +62,6 @@ class MultiRingNode : public runtime::Node {
       std::function<void(GroupId group, InstanceId instance, const Payload&)>;
 
   MultiRingNode(runtime::Runtime& rt, coord::Registry* registry,
-                NodeConfig config);
-
-  /// Sim convenience: binds to the Env's runtime adapter for `id` (defined
-  /// in node_sim.cpp, the only sim-coupled TU of this module).
-  MultiRingNode(sim::Env& env, ProcessId id, coord::Registry* registry,
                 NodeConfig config);
 
   /// Installs the application's merged-delivery callback (services and

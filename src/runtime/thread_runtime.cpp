@@ -818,6 +818,9 @@ void ThreadCluster::call(ProcessId pid, const std::function<void(Node*)>& fn) {
   auto it = locals_.find(pid);
   MRP_CHECK_MSG(it != locals_.end(), "call on unknown/remote process");
   ThreadRuntime& rt = *it->second;
+  // A stopped loop never runs the posted task: waiting for it would hang.
+  MRP_CHECK_MSG(!rt.killed_.load(std::memory_order_acquire),
+                "call on a process that is down");
   std::promise<void> done;
   {
     std::lock_guard<std::mutex> lk(rt.mu_);

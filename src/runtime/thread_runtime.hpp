@@ -56,6 +56,7 @@
 
 #include "codec/codec.hpp"
 #include "common/types.hpp"
+#include "runtime/cluster.hpp"
 #include "runtime/node.hpp"
 #include "runtime/runtime.hpp"
 
@@ -248,7 +249,7 @@ class ThreadRuntime final : public Runtime {
   int listen_tag_ = kTagListen;  // singleton fds
   Rng rng_;
 
-  std::function<std::unique_ptr<Node>(Runtime&)> factory_;  // null for oracle
+  NodeFactory factory_;  // null for oracle
   std::unique_ptr<Node> node_;  // loop thread only
   std::thread thread_;
   std::atomic<bool> stop_{false};
@@ -291,12 +292,10 @@ class ThreadRuntime final : public Runtime {
   std::map<int, int> durable_fds_;
 };
 
-class ThreadCluster {
+class ThreadCluster final : public Cluster {
  public:
-  using NodeFactory = std::function<std::unique_ptr<Node>(Runtime&)>;
-
   explicit ThreadCluster(ThreadClusterOptions options);
-  ~ThreadCluster();  // stop() + join
+  ~ThreadCluster() override;  // stop() + join
 
   ThreadCluster(const ThreadCluster&) = delete;
   ThreadCluster& operator=(const ThreadCluster&) = delete;
@@ -308,6 +307,11 @@ class ThreadCluster {
   /// addresses up front (the mrpd convention: base_port + pid).
   ThreadRuntime& add_local(ProcessId pid, NodeFactory factory,
                            std::uint16_t port = 0);
+
+  /// Cluster surface: add_local on an ephemeral port.
+  void add_node(ProcessId pid, NodeFactory factory) override {
+    add_local(pid, std::move(factory));
+  }
 
   /// Registers a local actor with no node — an oracle like the registry:
   /// it gets a loop thread (timers + outgoing notifications) but hosts no
@@ -335,8 +339,8 @@ class ThreadCluster {
 
   /// Runs fn on pid's loop thread, blocking until it completed — the way
   /// harness code inspects or drives a node after start() (fn receives the
-  /// hosted node, null for oracles).
-  void call(ProcessId pid, const std::function<void(Node*)>& fn);
+  /// hosted node, null for oracles). Aborts if pid was stopped.
+  void call(ProcessId pid, const std::function<void(Node*)>& fn) override;
 
   Runtime& runtime(ProcessId pid);
 

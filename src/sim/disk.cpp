@@ -18,7 +18,7 @@ TimeNs Disk::service_time(std::size_t bytes) const {
   return static_cast<TimeNs>(static_cast<double>(nominal) * slowdown_);
 }
 
-void Disk::write(std::size_t bytes, Task done) {
+void Disk::write(std::size_t bytes, runtime::Task done) {
   const TimeNs start = std::max(sim_.now(), free_at_);
   const TimeNs finish = start + service_time(bytes);
   free_at_ = finish;

@@ -13,7 +13,7 @@
 
 #include "common/types.hpp"
 #include "sim/simulator.hpp"
-#include "sim/task.hpp"
+#include "runtime/task.hpp"
 
 namespace mrp::sim {
 
@@ -34,7 +34,7 @@ class Disk {
   Disk(Simulator& sim, DiskParams params);
 
   /// Queues a write of `bytes`; `done` fires when the write is durable.
-  void write(std::size_t bytes, Task done);
+  void write(std::size_t bytes, runtime::Task done);
 
   /// Completion time a write issued now would see (for modelling async
   /// acknowledgement without a callback).

@@ -8,7 +8,8 @@ namespace mrp::sim {
 
 Env::Env(std::uint64_t seed)
     : sim_(seed),
-      net_(sim_, [this](ProcessId from, ProcessId to, MessagePtr msg) {
+      net_(sim_,
+           [this](ProcessId from, ProcessId to, runtime::MessagePtr msg) {
         deliver(from, to, std::move(msg));
       }) {}
 
@@ -26,17 +27,21 @@ const Env::ProcRecord& Env::rec(ProcessId id) const {
   return it->second;
 }
 
-runtime::Node* Env::add_process(ProcessId id, ProcessFactory factory) {
+void Env::add_node(ProcessId id, runtime::NodeFactory factory) {
   MRP_CHECK_MSG(records_.find(id) == records_.end(),
                 "process id already registered");
   ProcRecord& r = records_[id];
   r.factory = std::move(factory);
   r.alive = true;
   r.epoch = 1;
-  r.proc = r.factory(*this, id);
+  r.proc = r.factory(runtime_for(id));
   MRP_CHECK(r.proc != nullptr);
   r.proc->on_start();
-  return r.proc.get();
+}
+
+void Env::call(ProcessId id, const std::function<void(runtime::Node*)>& fn) {
+  MRP_CHECK_MSG(rec(id).alive, "call on a process that is down");
+  fn(process(id));
 }
 
 runtime::Node* Env::process(ProcessId id) { return rec(id).proc.get(); }
@@ -84,7 +89,7 @@ void Env::recover(ProcessId id) {
   MRP_CHECK_MSG(!r.alive, "recovering a process that is alive");
   r.alive = true;
   ++r.epoch;
-  r.proc = r.factory(*this, id);
+  r.proc = r.factory(runtime_for(id));
   MRP_CHECK(r.proc != nullptr);
   r.proc->on_start();
 }
@@ -115,7 +120,7 @@ void Env::set_disk_params(ProcessId id, int index, DiskParams p) {
   disks_[{id, index}] = std::make_unique<Disk>(sim_, p);
 }
 
-void Env::send_from(ProcessId from, ProcessId to, MessagePtr m) {
+void Env::send_from(ProcessId from, ProcessId to, runtime::MessagePtr m) {
   if (from == to) {
     // Loopback skips the network but still goes through the CPU queue.
     deliver(from, to, std::move(m));
@@ -124,7 +129,7 @@ void Env::send_from(ProcessId from, ProcessId to, MessagePtr m) {
   net_.send(from, to, std::move(m));
 }
 
-void Env::schedule_guarded(ProcessId pid, TimeNs delay, Task fn) {
+void Env::schedule_guarded(ProcessId pid, TimeNs delay, runtime::Task fn) {
   const std::uint64_t epoch = rec(pid).epoch;
   sim_.schedule_after(delay, [this, pid, epoch, f = std::move(fn)]() mutable {
     const ProcRecord& r = rec(pid);
@@ -132,7 +137,7 @@ void Env::schedule_guarded(ProcessId pid, TimeNs delay, Task fn) {
   });
 }
 
-Task Env::make_guard(ProcessId pid, Task fn) {
+runtime::Task Env::make_guard(ProcessId pid, runtime::Task fn) {
   const std::uint64_t epoch = rec(pid).epoch;
   return [this, pid, epoch, f = std::move(fn)]() mutable {
     const ProcRecord& r = rec(pid);
@@ -157,7 +162,7 @@ void Env::charge_background(ProcessId pid, TimeNs cpu) {
   rec(pid).background_ns += cpu;
 }
 
-void Env::deliver(ProcessId from, ProcessId to, MessagePtr msg) {
+void Env::deliver(ProcessId from, ProcessId to, runtime::MessagePtr msg) {
   auto it = records_.find(to);
   if (it == records_.end() || !it->second.alive) return;  // dropped
   it->second.queue.emplace_back(from, std::move(msg));

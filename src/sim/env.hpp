@@ -3,10 +3,10 @@
 // storage. This is the only stateful singleton a deployment needs; tests and
 // benches construct one Env per experiment.
 //
-// Processes are runtime::Node actors; the Env hands each one a SimRuntime
-// adapter (runtime_for), so the same protocol objects also run on the
-// thread/socket backend. sim::Process keeps the legacy (Env&, ProcessId)
-// construction surface for harness subclasses.
+// Processes are runtime::Node actors built as T(Runtime&, args...): the Env
+// implements runtime::Cluster and hands each factory the process's
+// SimRuntime adapter (runtime_for), so the same protocol objects, service
+// builders and probes also run on the thread/socket backend.
 #pragma once
 
 #include <deque>
@@ -14,7 +14,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <typeindex>
 #include <unordered_map>
 #include <utility>
@@ -22,12 +21,13 @@
 
 #include "common/check.hpp"
 #include "common/types.hpp"
+#include "runtime/cluster.hpp"
+#include "runtime/message.hpp"
 #include "runtime/node.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/task.hpp"
 #include "sim/disk.hpp"
-#include "sim/message.hpp"
 #include "sim/network.hpp"
-#include "sim/process.hpp"
 #include "sim/simulator.hpp"
 
 namespace mrp::sim {
@@ -42,11 +42,11 @@ struct CpuParams {
   double per_byte_ns = 0.0;
 };
 
-class Env {
+class Env final : public runtime::Cluster {
  public:
   /// `seed` flows to the Simulator and roots all randomness of the run.
   explicit Env(std::uint64_t seed = 1);
-  ~Env();
+  ~Env() override;
 
   /// The event loop.
   Simulator& sim() { return sim_; }
@@ -57,27 +57,22 @@ class Env {
   /// The run's root random stream.
   Rng& rng() { return sim_.rng(); }
 
-  using ProcessFactory =
-      std::function<std::unique_ptr<runtime::Node>(Env&, ProcessId)>;
-
   /// Registers and starts a process. The factory is retained and re-run on
-  /// recover(). Returns the live instance.
-  runtime::Node* add_process(ProcessId id, ProcessFactory factory);
+  /// recover().
+  void add_node(ProcessId id, runtime::NodeFactory factory) override;
 
-  /// Convenience: spawn<T>(id, args...) constructs T(env, id, args...),
-  /// capturing copies of args for reconstruction at recovery.
+  /// Convenience: spawn<T>(id, args...) constructs T(runtime_for(id),
+  /// args...), capturing copies of args for reconstruction at recovery.
+  /// Returns the live instance.
   template <class T, class... Args>
   T* spawn(ProcessId id, Args... args) {
-    auto tup = std::make_tuple(std::move(args)...);
-    return static_cast<T*>(add_process(
-        id, [tup = std::move(tup)](Env& env, ProcessId pid) {
-          return std::apply(
-              [&](const Args&... a) {
-                return std::make_unique<T>(env, pid, a...);
-              },
-              tup);
-        }));
+    add_node(id, runtime::factory_of<T>(std::move(args)...));
+    return static_cast<T*>(process(id));
   }
+
+  /// Runs fn on the live instance of `id`, inline; aborts if it is down.
+  void call(ProcessId id,
+            const std::function<void(runtime::Node*)>& fn) override;
 
   /// The live instance for `id` (null while crashed).
   runtime::Node* process(ProcessId id);
@@ -89,16 +84,15 @@ class Env {
     return p;
   }
 
-  /// The per-process runtime adapter (stable across crash/recover). This is
-  /// what protocol objects constructed through the (Env&, ProcessId) compat
-  /// constructors receive as their Runtime.
+  /// The per-process runtime adapter (stable across crash/recover): the
+  /// Runtime every node factory of `id` receives.
   runtime::Runtime& runtime_for(ProcessId id);
 
   /// Runtime adapter for an oracle actor (negative id, e.g. the registry's
   /// kRegistrySender): unguarded timers, faults bypassed, no CPU lane.
   runtime::Runtime& oracle_runtime(ProcessId id);
 
-  /// True while the process is up (between add_process/recover and crash).
+  /// True while the process is up (between add_node/recover and crash).
   bool is_alive(ProcessId id) const;
   /// Incarnation counter: starts at 1, +1 on every crash and every recover
   /// (odd = alive). Guards (make_guard) and the fault layer's delivery
@@ -155,15 +149,15 @@ class Env {
     return stable_[{id, key}];
   }
 
-  // --- used by Process / SimRuntime ---
+  // --- used by SimRuntime ---
   /// Sends m from `from` to `to` (loopback skips the network but still
   /// queues through the receiver's CPU lane). Negative `from` ids mark
   /// oracle senders (the registry) whose traffic bypasses injected faults.
-  void send_from(ProcessId from, ProcessId to, MessagePtr m);
+  void send_from(ProcessId from, ProcessId to, runtime::MessagePtr m);
   /// Timer that silently cancels if the process crashes (epoch changes).
-  void schedule_guarded(ProcessId pid, TimeNs delay, Task fn);
+  void schedule_guarded(ProcessId pid, TimeNs delay, runtime::Task fn);
   /// Wraps fn into a callback that no-ops once the process's epoch moves on.
-  Task make_guard(ProcessId pid, Task fn);
+  runtime::Task make_guard(ProcessId pid, runtime::Task fn);
   /// Adds CPU cost to pid's serial message-handling lane.
   void charge(ProcessId pid, TimeNs cpu);
   /// Adds CPU cost on pid's background lane (metrics only).
@@ -172,18 +166,18 @@ class Env {
  private:
   struct ProcRecord {
     std::unique_ptr<runtime::Node> proc;
-    ProcessFactory factory;
+    runtime::NodeFactory factory;
     bool alive = false;
     std::uint64_t epoch = 0;
     CpuParams cpu;
-    std::deque<std::pair<ProcessId, MessagePtr>> queue;
+    std::deque<std::pair<ProcessId, runtime::MessagePtr>> queue;
     bool running = false;  // a run_one event is scheduled
     TimeNs busy_until = 0;
     TimeNs busy_ns = 0;
     TimeNs background_ns = 0;
   };
 
-  void deliver(ProcessId from, ProcessId to, MessagePtr msg);
+  void deliver(ProcessId from, ProcessId to, runtime::MessagePtr msg);
   void pump(ProcessId pid);
   void run_one(ProcessId pid);
   ProcRecord& rec(ProcessId id);

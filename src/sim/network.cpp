@@ -55,7 +55,7 @@ LinkParams Network::resolve(ProcessId from, ProcessId to) const {
   return default_link_;
 }
 
-void Network::send(ProcessId from, ProcessId to, MessagePtr msg) {
+void Network::send(ProcessId from, ProcessId to, runtime::MessagePtr msg) {
   MRP_CHECK(msg != nullptr);
   auto part =
       partitioned_.find(pair_key(std::min(from, to), std::max(from, to)));

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "sim/message.hpp"
+#include "runtime/message.hpp"
 #include "sim/simulator.hpp"
 
 namespace mrp::sim {
@@ -58,8 +58,8 @@ struct NetFault {
 class Network {
  public:
   /// Delivery callback invoked when a message arrives at its destination.
-  using DeliverFn =
-      std::function<void(ProcessId from, ProcessId to, MessagePtr msg)>;
+  using DeliverFn = std::function<void(ProcessId from, ProcessId to,
+                                       runtime::MessagePtr msg)>;
 
   Network(Simulator& sim, DeliverFn deliver);
 
@@ -83,7 +83,7 @@ class Network {
 
   /// Sends msg; it will be delivered (via the DeliverFn) after the link's
   /// transmission + propagation delay, FIFO per (from, to) pair.
-  void send(ProcessId from, ProcessId to, MessagePtr msg);
+  void send(ProcessId from, ProcessId to, runtime::MessagePtr msg);
 
   /// Drops all traffic between a and b (both directions) while active.
   void set_partitioned(ProcessId a, ProcessId b, bool partitioned);

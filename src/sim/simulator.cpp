@@ -8,7 +8,7 @@ namespace mrp::sim {
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
-std::uint32_t Simulator::acquire_slot(Task fn) {
+std::uint32_t Simulator::acquire_slot(runtime::Task fn) {
   if (free_head_ != kNoSlot) {
     const std::uint32_t idx = free_head_;
     free_head_ = slots_[idx].next_free;
@@ -20,7 +20,7 @@ std::uint32_t Simulator::acquire_slot(Task fn) {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void Simulator::schedule_at(TimeNs when, Task fn) {
+void Simulator::schedule_at(TimeNs when, runtime::Task fn) {
   MRP_CHECK_MSG(when >= now_, "cannot schedule into the past");
   const Event e{when, next_seq_++, acquire_slot(std::move(fn))};
   if (when < horizon_) {
@@ -31,7 +31,7 @@ void Simulator::schedule_at(TimeNs when, Task fn) {
   }
 }
 
-void Simulator::schedule_after(TimeNs delay, Task fn) {
+void Simulator::schedule_after(TimeNs delay, runtime::Task fn) {
   MRP_CHECK(delay >= 0);
   schedule_at(now_ + delay, std::move(fn));
 }
@@ -115,7 +115,7 @@ bool Simulator::step() {
   // Move the callable out and free its slot before reshaping the heap: the
   // callable may schedule new events (which touch the queue) when invoked.
   const std::uint32_t slot = near_.front().slot;
-  Task fn = std::move(slots_[slot].fn);
+  runtime::Task fn = std::move(slots_[slot].fn);
   slots_[slot].next_free = free_head_;
   free_head_ = slot;
   pop_front();

@@ -27,7 +27,7 @@
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
-#include "sim/task.hpp"
+#include "runtime/task.hpp"
 
 namespace mrp::sim {
 
@@ -43,9 +43,9 @@ class Simulator {
   Rng& rng() { return rng_; }
 
   /// Schedules fn at absolute time `when` (must be >= now()).
-  void schedule_at(TimeNs when, Task fn);
+  void schedule_at(TimeNs when, runtime::Task fn);
   /// Schedules fn `delay` after now().
-  void schedule_after(TimeNs delay, Task fn);
+  void schedule_after(TimeNs delay, runtime::Task fn);
 
   /// Runs the next event. Returns false if the queue is empty.
   bool step();
@@ -81,13 +81,13 @@ class Simulator {
   }
   void sift_up(std::size_t i);
   void pop_front();
-  std::uint32_t acquire_slot(Task fn);
+  std::uint32_t acquire_slot(runtime::Task fn);
   /// Refills the near heap from the far buffer; false if nothing is queued.
   bool ensure_near();
   void advance_horizon();
 
   struct Slot {
-    Task fn;
+    runtime::Task fn;
     std::uint32_t next_free = 0;
   };
 

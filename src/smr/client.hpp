@@ -44,10 +44,6 @@
 #include "runtime/node.hpp"
 #include "smr/command.hpp"
 
-namespace mrp::sim {
-class Env;
-}
-
 namespace mrp::smr {
 
 struct Request {
@@ -127,11 +123,6 @@ class ClientNode : public runtime::Node {
   };
 
   ClientNode(runtime::Runtime& rt, Options options, NextFn next,
-             DoneFn done);
-
-  /// Sim convenience: binds to the Env's runtime adapter for `id` (defined
-  /// in smr_sim.cpp).
-  ClientNode(sim::Env& env, ProcessId id, Options options, NextFn next,
              DoneFn done);
 
   /// Installs the stale-routing retry hook (see RerouteFn).

@@ -54,10 +54,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/metrics.hpp"
 #include "multiring/node.hpp"
 #include "recovery/checkpointing.hpp"
 #include "recovery/trim.hpp"
+#include "runtime/cluster.hpp"
 #include "smr/command.hpp"
 #include "smr/state_machine.hpp"
 
@@ -91,12 +93,6 @@ struct ReplicaOptions {
 class ReplicaNode : public multiring::MultiRingNode {
  public:
   ReplicaNode(runtime::Runtime& rt, coord::Registry* registry,
-              multiring::NodeConfig config, StateMachineFactory factory,
-              ReplicaOptions options);
-
-  /// Sim convenience: binds to the Env's runtime adapter for `id` (defined
-  /// in smr_sim.cpp, the only sim-coupled TU of this module).
-  ReplicaNode(sim::Env& env, ProcessId id, coord::Registry* registry,
               multiring::NodeConfig config, StateMachineFactory factory,
               ReplicaOptions options);
 
@@ -251,5 +247,17 @@ class ReplicaNode : public multiring::MultiRingNode {
   std::map<GroupId, ReplierCache> repliers_;
   std::uint64_t executed_ = 0;
 };
+
+/// Runs fn on replica `pid`'s state machine, downcast to Sm, in the
+/// replica's own execution context: the service probes (digests, point
+/// reads) on either backend.
+template <class Sm, class Fn>
+void with_state_machine(runtime::Cluster& cluster, ProcessId pid, Fn&& fn) {
+  cluster.call(pid, [&fn](runtime::Node* n) {
+    auto* rep = dynamic_cast<ReplicaNode*>(n);
+    MRP_CHECK_MSG(rep != nullptr, "process type mismatch");
+    fn(dynamic_cast<Sm&>(rep->state_machine()));
+  });
+}
 
 }  // namespace mrp::smr

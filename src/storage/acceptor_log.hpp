@@ -29,10 +29,6 @@
 #include "paxos/paxos.hpp"
 #include "runtime/runtime.hpp"
 
-namespace mrp::sim {
-class Env;
-}
-
 namespace mrp::storage {
 
 enum class WriteMode { Memory, Async, Sync };
@@ -44,11 +40,6 @@ class AcceptorLog {
   /// Binds to the durable slot `ring/<ring>/acceptor_log` of the hosting
   /// runtime's process. The same slot is picked up again after a crash.
   AcceptorLog(runtime::Runtime& rt, GroupId ring, WriteMode mode,
-              int disk_index = 0);
-
-  /// Sim convenience: binds to process `owner`'s runtime adapter (defined in
-  /// storage_sim.cpp, the only sim-coupled TU of this module).
-  AcceptorLog(sim::Env& env, ProcessId owner, GroupId ring, WriteMode mode,
               int disk_index = 0);
 
   WriteMode mode() const { return mode_; }

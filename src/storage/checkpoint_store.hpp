@@ -16,10 +16,6 @@
 #include "common/types.hpp"
 #include "runtime/runtime.hpp"
 
-namespace mrp::sim {
-class Env;
-}
-
 namespace mrp::storage {
 
 /// Checkpoint identifier: per-group next-undelivered instance.
@@ -42,10 +38,6 @@ class CheckpointStore {
   /// Binds to the durable slot `checkpoints` of the hosting runtime's
   /// process.
   explicit CheckpointStore(runtime::Runtime& rt, int disk_index = 0);
-
-  /// Sim convenience: binds to process `owner`'s runtime adapter (defined in
-  /// storage_sim.cpp).
-  CheckpointStore(sim::Env& env, ProcessId owner, int disk_index = 0);
 
   /// Persists a checkpoint (synchronous device write — the paper writes
   /// checkpoints synchronously so that trim decisions are safe); `done`

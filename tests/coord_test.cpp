@@ -8,20 +8,20 @@
 namespace mrp::coord {
 namespace {
 
-class Dummy : public sim::Process {
+class Dummy : public runtime::Node {
  public:
-  using Process::Process;
-  void on_message(ProcessId, const sim::Message& m) override {
+  using runtime::Node::Node;
+  void on_message(ProcessId, const runtime::Message& m) override {
     if (m.kind() == kMsgViewChange) {
-      views.push_back(sim::msg_cast<MsgViewChange>(m).view);
+      views.push_back(runtime::msg_cast<MsgViewChange>(m).view);
     } else if (m.kind() == kMsgSchemaChange) {
-      const auto& s = sim::msg_cast<MsgSchemaChange>(m);
+      const auto& s = runtime::msg_cast<MsgSchemaChange>(m);
       schemas.emplace_back(s.key, s.entry);
     } else if (m.kind() == kMsgSubChange) {
-      const auto& s = sim::msg_cast<MsgSubChange>(m);
+      const auto& s = runtime::msg_cast<MsgSubChange>(m);
       subs.push_back(s);
     } else if (m.kind() == kMsgAcceptorPrep) {
-      preps.push_back(sim::msg_cast<MsgAcceptorPrep>(m));
+      preps.push_back(runtime::msg_cast<MsgAcceptorPrep>(m));
     }
   }
   std::vector<RingView> views;
@@ -44,7 +44,7 @@ class RegistryTest : public ::testing::Test {
   }
 
   sim::Env env_;
-  Registry reg_{env_, 50 * kMillisecond};
+  Registry reg_{env_.oracle_runtime(kRegistrySender), 50 * kMillisecond};
 };
 
 TEST_F(RegistryTest, InitialViewIncludesAllConfiguredMembers) {

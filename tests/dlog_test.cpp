@@ -35,10 +35,10 @@ TEST(DlogOps, EncodingRoundtrip) {
   EXPECT_EQ(r.positions[1], (std::pair<LogId, Position>{2, 3}));
 }
 
-class Noop : public sim::Process {
+class Noop : public runtime::Node {
  public:
-  using Process::Process;
-  void on_message(ProcessId, const sim::Message&) override {}
+  using runtime::Node::Node;
+  void on_message(ProcessId, const runtime::Message&) override {}
 };
 
 class SmOnly : public ::testing::Test {
@@ -156,7 +156,8 @@ class DlogE2eTest : public ::testing::Test {
 
   sim::Env env_{31};
   std::unique_ptr<coord::Registry> registry_ =
-      std::make_unique<coord::Registry>(env_, 50 * kMillisecond);
+      std::make_unique<coord::Registry>(
+          env_.oracle_runtime(coord::kRegistrySender), 50 * kMillisecond);
   DLogDeployment deployment_;
   std::unique_ptr<DLogClient> client_;
 };

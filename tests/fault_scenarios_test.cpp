@@ -110,7 +110,8 @@ void add_acked_invariant(fault::ScenarioRunner& runner, sim::Env& env,
 
 StoreScenarioResult scenario_coordinator_crash(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   auto dep = mrpstore::build_store(env, registry, chaos_store_options());
   mrpstore::StoreClient helper(dep);
   auto acked = std::make_shared<std::vector<std::string>>();
@@ -150,7 +151,8 @@ TEST(FaultScenarios, CoordinatorCrashMidInstance) {
 
 StoreScenarioResult scenario_partition_heal(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   auto dep = mrpstore::build_store(env, registry, chaos_store_options());
   mrpstore::StoreClient helper(dep);
   auto acked = std::make_shared<std::vector<std::string>>();
@@ -190,7 +192,8 @@ TEST(FaultScenarios, RingPartitionAndHeal) {
 
 StoreScenarioResult scenario_lagging_group(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   mrpstore::StoreOptions so = chaos_store_options();
   so.partitions = 2;
   so.global_ring = true;
@@ -278,7 +281,8 @@ TEST(FaultScenarios, LaggingGroupKeptLiveBySkips) {
 
 StoreScenarioResult scenario_disk_stall(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   mrpstore::StoreOptions so = chaos_store_options();
   so.ring_params.write_mode = storage::WriteMode::Async;
   so.replica_options.checkpoint.interval = 1200 * kMillisecond;
@@ -347,7 +351,8 @@ TEST(FaultScenarios, DiskStallDuringCheckpoint) {
 
 StoreScenarioResult scenario_crash_during_recovery(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   mrpstore::StoreOptions so = chaos_store_options();
   so.replica_options.checkpoint.interval = kSecond;
   so.replica_options.trim.interval = 2 * kSecond;
@@ -394,7 +399,8 @@ TEST(FaultScenarios, CrashDuringRecoveryReplay) {
 
 StoreScenarioResult scenario_random_soak(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   mrpstore::StoreOptions so = chaos_store_options();
   so.partitions = 2;
   so.replica_options.checkpoint.interval = kSecond;
@@ -451,7 +457,8 @@ struct DlogScenarioResult {
 
 DlogScenarioResult scenario_dlog_chaos(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   dlog::DLogOptions opts;
   opts.num_logs = 2;
   opts.ring_params.gap_timeout = 20 * kMillisecond;
@@ -545,7 +552,8 @@ struct ElasticScenarioResult {
 
 ElasticScenarioResult scenario_elastic_split(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   mrpstore::StoreOptions so = chaos_store_options();
   so.partitioner = mrpstore::RangePartitioner({}).encode();  // one partition
   auto dep = mrpstore::build_store(env, registry, so);
@@ -653,7 +661,8 @@ struct OverloadScenarioResult {
 
 OverloadScenarioResult scenario_overload_slow_ring(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   mrpstore::StoreOptions so = chaos_store_options();
   // Tight bounded pipeline: a fraction of what 48 closed-loop workers offer.
   // Synchronous acceptor logs on SSDs make the ring disk-bound, so the
@@ -808,7 +817,8 @@ TransferScenarioResult scenario_crosspartition_transfers(std::uint64_t seed) {
   const auto acct_z = [](int i) { return "z" + std::to_string(i); };
 
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   mrpstore::StoreOptions so = chaos_store_options();
   so.partitions = 2;
   so.partitioner = mrpstore::RangePartitioner({"m"}).encode();
@@ -935,9 +945,9 @@ class HealProbeNode final : public multiring::MultiRingNode {
  public:
   using Deliveries = std::map<ProcessId, std::vector<std::string>>;
 
-  HealProbeNode(sim::Env& env, ProcessId id, coord::Registry* reg,
+  HealProbeNode(runtime::Runtime& rt, coord::Registry* reg,
                 multiring::NodeConfig cfg, std::shared_ptr<Deliveries> log)
-      : MultiRingNode(env, id, reg, std::move(cfg)) {
+      : MultiRingNode(rt, reg, std::move(cfg)) {
     set_deliver([this, log](GroupId, InstanceId, const Payload& p) {
       (*log)[this->id()].push_back(p.as_string());
     });
@@ -952,7 +962,8 @@ struct HealScenarioResult {
 
 HealScenarioResult scenario_acceptor_selfheal(std::uint64_t seed) {
   sim::Env env(seed);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
 
   coord::RingConfig cfg;
   cfg.ring = 0;
@@ -1064,9 +1075,9 @@ TEST(FaultPlan, DescribeAndOrdering) {
 TEST(FaultInjector, SkipsInapplicableEventsInsteadOfAborting) {
   sim::Env env(1);
   // A bare process so crash/restart have a target.
-  struct Nop : sim::Process {
-    using sim::Process::Process;
-    void on_message(ProcessId, const sim::Message&) override {}
+  struct Nop : runtime::Node {
+    using runtime::Node::Node;
+    void on_message(ProcessId, const runtime::Message&) override {}
   };
   env.spawn<Nop>(1);
 
@@ -1089,14 +1100,14 @@ TEST(FaultInjector, SkipsInapplicableEventsInsteadOfAborting) {
 TEST(NetworkChaos, DropDuplicateDelayAreSeedDeterministic) {
   auto run = [](std::uint64_t seed) {
     sim::Env env(seed);
-    struct Counter : sim::Process {
-      using sim::Process::Process;
+    struct Counter : runtime::Node {
+      using runtime::Node::Node;
       std::vector<int> seen;
-      void on_message(ProcessId, const sim::Message& m) override {
+      void on_message(ProcessId, const runtime::Message& m) override {
         seen.push_back(m.kind());
       }
     };
-    struct Ping : sim::Message {
+    struct Ping : runtime::Message {
       int k;
       explicit Ping(int kk) : k(kk) {}
       int kind() const override { return k; }
@@ -1125,12 +1136,12 @@ TEST(NetworkChaos, DropDuplicateDelayAreSeedDeterministic) {
 
 TEST(NetworkChaos, IsolationCutsDataPlaneBothWays) {
   sim::Env env(1);
-  struct Counter : sim::Process {
-    using sim::Process::Process;
+  struct Counter : runtime::Node {
+    using runtime::Node::Node;
     int seen = 0;
-    void on_message(ProcessId, const sim::Message&) override { ++seen; }
+    void on_message(ProcessId, const runtime::Message&) override { ++seen; }
   };
-  struct Ping : sim::Message {
+  struct Ping : runtime::Message {
     int kind() const override { return 1; }
     std::size_t wire_size() const override { return 16; }
   };

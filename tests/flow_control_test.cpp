@@ -138,16 +138,16 @@ class CountingSm final : public smr::StateMachine {
 
 /// Periodically runs a check callback on the live deployment (queue-cap
 /// sampling between events).
-class Prober : public sim::Process {
+class Prober : public runtime::Node {
  public:
-  Prober(sim::Env& env, ProcessId id) : sim::Process(env, id) {}
+  explicit Prober(runtime::Runtime& rt) : runtime::Node(rt) {}
   void set_check(std::function<void()> fn) { check_ = std::move(fn); }
   void on_start() override {
     every(500 * kMicrosecond, [this] {
       if (check_) check_();
     });
   }
-  void on_message(ProcessId, const sim::Message&) override {}
+  void on_message(ProcessId, const runtime::Message&) override {}
 
  private:
   std::function<void()> check_;
@@ -191,7 +191,8 @@ class FlowControlTest : public ::testing::Test {
 
   sim::Env env_{77};
   std::unique_ptr<coord::Registry> registry_ =
-      std::make_unique<coord::Registry>(env_, 50 * kMillisecond);
+      std::make_unique<coord::Registry>(
+          env_.oracle_runtime(coord::kRegistrySender), 50 * kMillisecond);
 };
 
 TEST_F(FlowControlTest, BoundedQueuesNeverExceedCapsUnderOverload) {

@@ -36,14 +36,19 @@ void configure_wan(sim::Env& env) {
 
 TEST(GeoIntegration, StoreAcrossFourRegions) {
   sim::Env env(404);
-  coord::Registry registry(env, 200 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           200 * kMillisecond);
   configure_wan(env);
 
   mrpstore::StoreOptions so;
   so.partitions = 4;
   so.replicas_per_partition = 3;
   so.global_ring = true;
-  so.sites = {0, 1, 2, 3};  // one partition per region
+  // One partition per region: replica r of partition p is process
+  // first_pid + p * replicas_per_partition + r.
+  for (int p = 0; p < 4; ++p) {
+    for (int r = 0; r < 3; ++r) env.net().set_site(so.first_pid + p * 3 + r, p);
+  }
   // WAN configuration from the paper: M=1, Delta=20ms, lambda=2000.
   so.ring_params.lambda = 2000;
   so.ring_params.skip_interval = 20 * kMillisecond;
@@ -107,7 +112,8 @@ TEST(GeoIntegration, StoreAcrossFourRegions) {
 
 TEST(GeoIntegration, GlobalScanIsConsistentUnderConcurrentWrites) {
   sim::Env env(405);
-  coord::Registry registry(env, 100 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           100 * kMillisecond);
 
   mrpstore::StoreOptions so;
   so.partitions = 3;
@@ -157,7 +163,8 @@ TEST(GeoIntegration, GlobalScanIsConsistentUnderConcurrentWrites) {
 
 TEST(GeoIntegration, DlogMixedWorkloadWithCrash) {
   sim::Env env(406);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
 
   dlog::DLogOptions opts;
   opts.num_logs = 3;
@@ -211,7 +218,8 @@ TEST(GeoIntegration, DlogMixedWorkloadWithCrash) {
 
 TEST(GeoIntegration, StoreSurvivesRollingRestarts) {
   sim::Env env(407);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
 
   mrpstore::StoreOptions so;
   so.partitions = 2;

@@ -446,7 +446,8 @@ class StoreE2eTest : public ::testing::Test {
 
   sim::Env env_{11};
   std::unique_ptr<coord::Registry> registry_ =
-      std::make_unique<coord::Registry>(env_, 50 * kMillisecond);
+      std::make_unique<coord::Registry>(
+          env_.oracle_runtime(coord::kRegistrySender), 50 * kMillisecond);
   StoreDeployment deployment_;
   std::unique_ptr<StoreClient> client_helper_;
   smr::ClientNode* last_client_ = nullptr;
@@ -811,9 +812,9 @@ TEST_F(StoreE2eTest, SessionDedupStaysBoundedAcrossPartitions) {
 class ReplyCountingClient final : public smr::ClientNode {
  public:
   using Key = std::tuple<smr::SessionId, std::uint64_t, int>;
-  ReplyCountingClient(sim::Env& env, ProcessId id, Options options,
+  ReplyCountingClient(runtime::Runtime& rt, Options options,
                       NextFn next, DoneFn done, std::map<Key, int>* counts)
-      : ClientNode(env, id, options, std::move(next), std::move(done)),
+      : ClientNode(rt, options, std::move(next), std::move(done)),
         counts_(counts) {}
 
   void on_message(ProcessId from, const runtime::Message& m) override {

@@ -126,7 +126,8 @@ class MultiGroupProperty : public ::testing::TestWithParam<Params> {
     RunResult result;
 
     sim::Env env(P.seed);
-    coord::Registry registry(env, 50 * kMillisecond);
+    coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                             50 * kMillisecond);
 
     ringpaxos::RingParams rp;
     rp.lambda = 2000;

@@ -34,9 +34,9 @@ using Sink = std::function<void(ProcessId, GroupId, InstanceId, const Payload&)>
 
 class TestNode : public multiring::MultiRingNode {
  public:
-  TestNode(sim::Env& env, ProcessId id, coord::Registry* reg,
+  TestNode(runtime::Runtime& rt, coord::Registry* reg,
            multiring::NodeConfig cfg, std::shared_ptr<Sink> sink)
-      : MultiRingNode(env, id, reg, std::move(cfg)) {
+      : MultiRingNode(rt, reg, std::move(cfg)) {
     set_deliver([this, sink](GroupId g, InstanceId i, const Payload& p) {
       (*sink)(this->id(), g, i, p);
     });
@@ -63,7 +63,8 @@ class MultiRingProperty : public ::testing::TestWithParam<Params> {
   void run() {
     const Params& P = GetParam();
     env_ = std::make_unique<sim::Env>(P.seed);
-    registry_ = std::make_unique<coord::Registry>(*env_, 50 * kMillisecond);
+    registry_ = std::make_unique<coord::Registry>(
+        env_->oracle_runtime(coord::kRegistrySender), 50 * kMillisecond);
 
     ringpaxos::RingParams rp;
     rp.lambda = 2000;

@@ -356,9 +356,9 @@ using Sink = std::function<void(ProcessId, GroupId, InstanceId, const Payload&)>
 
 class TestNode : public multiring::MultiRingNode {
  public:
-  TestNode(sim::Env& env, ProcessId id, coord::Registry* reg,
+  TestNode(runtime::Runtime& rt, coord::Registry* reg,
            multiring::NodeConfig cfg, std::shared_ptr<Sink> sink)
-      : MultiRingNode(env, id, reg, std::move(cfg)) {
+      : MultiRingNode(rt, reg, std::move(cfg)) {
     set_deliver([this, sink](GroupId g, InstanceId i, const Payload& p) {
       (*sink)(this->id(), g, i, p);
     });
@@ -436,7 +436,8 @@ class MultiRingTest : public ::testing::Test {
 
   sim::Env env_{42};
   std::unique_ptr<coord::Registry> registry_ =
-      std::make_unique<coord::Registry>(env_);
+      std::make_unique<coord::Registry>(
+          env_.oracle_runtime(coord::kRegistrySender));
   std::vector<Delivery> deliveries_;
   std::map<std::string, TimeNs> sent_at_;
   std::map<std::pair<ProcessId, std::string>, TimeNs> delivered_time_;

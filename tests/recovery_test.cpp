@@ -64,7 +64,8 @@ class RecoveryTest : public ::testing::Test {
 
   sim::Env env_{7};
   std::unique_ptr<coord::Registry> registry_ =
-      std::make_unique<coord::Registry>(env_, 50 * kMillisecond);
+      std::make_unique<coord::Registry>(
+          env_.oracle_runtime(coord::kRegistrySender), 50 * kMillisecond);
   mrpstore::StoreDeployment deployment_;
   std::unique_ptr<mrpstore::StoreClient> client_;
   smr::ClientNode* writer_ = nullptr;

@@ -23,9 +23,9 @@ using Sink = std::function<void(ProcessId, GroupId, InstanceId, const Payload&)>
 
 class TestNode : public multiring::MultiRingNode {
  public:
-  TestNode(sim::Env& env, ProcessId id, coord::Registry* reg,
+  TestNode(runtime::Runtime& rt, coord::Registry* reg,
            multiring::NodeConfig cfg, std::shared_ptr<Sink> sink)
-      : MultiRingNode(env, id, reg, std::move(cfg)) {
+      : MultiRingNode(rt, reg, std::move(cfg)) {
     set_deliver([this, sink](GroupId g, InstanceId i, const Payload& p) {
       (*sink)(this->id(), g, i, p);
     });
@@ -40,7 +40,7 @@ class TestNode : public multiring::MultiRingNode {
 // set for the general race.
 TEST(Regression, DecisionsNeverBeatValuesOnTheRing) {
   sim::Env env(1);
-  coord::Registry registry(env);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender));
   coord::RingConfig rc;
   rc.ring = 0;
   rc.order = {1, 2, 3, 4};  // includes a learner-only member
@@ -76,12 +76,12 @@ TEST(Regression, DecisionsNeverBeatValuesOnTheRing) {
 // range query all dropped the covering range, wedging recovery.
 TEST(Regression, AcceptorLogRangeIncludesStraddlingSkipRecord) {
   sim::Env env;
-  struct Noop : sim::Process {
-    using Process::Process;
-    void on_message(ProcessId, const sim::Message&) override {}
+  struct Noop : runtime::Node {
+    using runtime::Node::Node;
+    void on_message(ProcessId, const runtime::Message&) override {}
   };
   env.spawn<Noop>(1);
-  storage::AcceptorLog log(env, 1, 0, storage::WriteMode::Memory);
+  storage::AcceptorLog log(env.runtime_for(1), 0, storage::WriteMode::Memory);
   paxos::LogRecord rec;
   rec.vround = 1;
   rec.value = paxos::Value::skip({1, 1}, 40);  // covers [5, 45)
@@ -117,7 +117,8 @@ TEST(Regression, MergerTrimsStraddlingSkipRange) {
 // on *rate-leveled* rings (skips exercise all the straddle paths).
 TEST(Regression, RecoveryWithRateLeveledRingsConverges) {
   sim::Env env(77);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   mrpstore::StoreOptions so;
   so.partitions = 2;
   so.global_ring = true;
@@ -164,7 +165,8 @@ TEST(Regression, RecoveryWithRateLeveledRingsConverges) {
 // max_retransmit_instances per request and the learner chases the rest.
 TEST(Regression, RetransmissionIsChunked) {
   sim::Env env(5);
-  coord::Registry registry(env, 50 * kMillisecond);
+  coord::Registry registry(env.oracle_runtime(coord::kRegistrySender),
+                           50 * kMillisecond);
   coord::RingConfig rc;
   rc.ring = 0;
   rc.order = {1, 2, 3};
@@ -205,10 +207,10 @@ TEST(Regression, RetransmissionIsChunked) {
 // workers/think_time even when the service is far faster.
 TEST(Regression, ClientThinkTimePacesLoad) {
   sim::Env env(6);
-  struct Echo : sim::Process {
-    using Process::Process;
-    void on_message(ProcessId, const sim::Message& m) override {
-      const auto& req = sim::msg_cast<smr::MsgClientRequest>(m);
+  struct Echo : runtime::Node {
+    using runtime::Node::Node;
+    void on_message(ProcessId, const runtime::Message& m) override {
+      const auto& req = runtime::msg_cast<smr::MsgClientRequest>(m);
       auto reply = std::make_shared<smr::MsgClientReply>();
       reply->session = req.command.session;
       reply->seq = req.command.seq;

@@ -29,9 +29,9 @@ using Sink = std::function<void(ProcessId, GroupId, InstanceId, const Payload&)>
 /// sink is part of the spawn arguments, so recovery re-wires it.
 class TestNode : public multiring::MultiRingNode {
  public:
-  TestNode(sim::Env& env, ProcessId id, coord::Registry* reg,
+  TestNode(runtime::Runtime& rt, coord::Registry* reg,
            multiring::NodeConfig cfg, std::shared_ptr<Sink> sink)
-      : MultiRingNode(env, id, reg, std::move(cfg)) {
+      : MultiRingNode(rt, reg, std::move(cfg)) {
     set_deliver([this, sink](GroupId g, InstanceId i, const Payload& p) {
       (*sink)(this->id(), g, i, p);
     });
@@ -71,7 +71,8 @@ class RingPaxosTest : public ::testing::Test {
 
   sim::Env env_{1234};
   std::unique_ptr<coord::Registry> registry_ =
-      std::make_unique<coord::Registry>(env_);
+      std::make_unique<coord::Registry>(
+          env_.oracle_runtime(coord::kRegistrySender));
   std::vector<Delivery> deliveries_;
   std::shared_ptr<Sink> sink_ = std::make_shared<Sink>(
       [this](ProcessId n, GroupId g, InstanceId i, const Payload& p) {
@@ -333,8 +334,7 @@ TEST_F(RingPaxosTest, PostQuorumAcceptorDoesNotLog) {
 /// end, and records the size of each reply.
 class CatchupProbe final : public runtime::Node {
  public:
-  CatchupProbe(sim::Env& env, ProcessId id)
-      : runtime::Node(env.runtime_for(id)) {}
+  explicit CatchupProbe(runtime::Runtime& rt) : runtime::Node(rt) {}
 
   void start(ProcessId source, InstanceId hi) {
     source_ = source;

@@ -29,6 +29,7 @@
 
 #include "net/wire.hpp"
 #include "ringpaxos/messages.hpp"
+#include "runtime/cluster.hpp"
 #include "runtime/node.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/thread_runtime.hpp"
@@ -98,31 +99,34 @@ class ProbeNode final : public runtime::Node {
 class Backend {
  public:
   virtual ~Backend() = default;
-  virtual void add(ProcessId pid) = 0;
+  /// The backend's runtime::Cluster (sim::Env or ThreadCluster).
+  virtual runtime::Cluster& cluster() = 0;
   virtual void start() = 0;
-  /// Runs fn in pid's execution context (inline on the sim, on the loop
-  /// thread for the thread backend).
-  virtual void run_on(ProcessId pid,
-                      std::function<void(runtime::Node&)> fn) = 0;
+  /// Takes pid down for good (a crash on the sim, stop_local on threads).
+  virtual void kill(ProcessId pid) = 0;
   /// Advances time until pred holds or `budget` elapses (simulated time on
   /// the sim backend, real time on the thread backend).
   virtual bool wait(std::function<bool()> pred, TimeNs budget) = 0;
+
+  void add(ProcessId pid) {
+    cluster().add_node(pid, [this](runtime::Runtime& rt) {
+      return std::make_unique<ProbeNode>(rt, &shared);
+    });
+  }
+  /// Runs fn in pid's execution context (inline on the sim, on the loop
+  /// thread for the thread backend).
+  void run_on(ProcessId pid, const std::function<void(runtime::Node&)>& fn) {
+    cluster().call(pid, [&fn](runtime::Node* n) { fn(*n); });
+  }
 
   Shared shared;
 };
 
 class SimBackend final : public Backend {
  public:
-  void add(ProcessId pid) override {
-    env_.add_process(pid, [this](sim::Env& env, ProcessId p) {
-      return std::make_unique<ProbeNode>(env.runtime_for(p), &shared);
-    });
-  }
+  runtime::Cluster& cluster() override { return env_; }
   void start() override {}
-  void run_on(ProcessId pid,
-              std::function<void(runtime::Node&)> fn) override {
-    fn(*env_.process(pid));
-  }
+  void kill(ProcessId pid) override { env_.crash(pid); }
   bool wait(std::function<bool()> pred, TimeNs budget) override {
     const TimeNs deadline = env_.now() + budget;
     while (!pred() && env_.sim().pending_events() > 0 &&
@@ -141,16 +145,9 @@ class ThreadBackend final : public Backend {
   ThreadBackend() : cluster_(options()) {}
   ~ThreadBackend() override { cluster_.stop(); }
 
-  void add(ProcessId pid) override {
-    cluster_.add_local(pid, [this](runtime::Runtime& rt) {
-      return std::make_unique<ProbeNode>(rt, &shared);
-    });
-  }
+  runtime::Cluster& cluster() override { return cluster_; }
   void start() override { cluster_.start(); }
-  void run_on(ProcessId pid,
-              std::function<void(runtime::Node&)> fn) override {
-    cluster_.call(pid, [&fn](runtime::Node* n) { fn(*n); });
-  }
+  void kill(ProcessId pid) override { cluster_.stop_local(pid); }
   bool wait(std::function<bool()> pred, TimeNs budget) override {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::nanoseconds(budget);
@@ -425,11 +422,34 @@ TEST_P(RuntimeConformanceTest, SendToUnknownPeerIsSilentlyDropped) {
   EXPECT_EQ(b().shared.snapshot(), (std::vector<std::string>{"alive"}));
 }
 
+// ---- Cluster::call on a process that is down -----------------------------
+
+// A probe on a dead process must fail loudly on both backends: on the
+// thread backend the stopped loop never runs the posted task, so waiting
+// for it would hang the caller forever.
+class RuntimeConformanceCallDeathTest : public RuntimeConformanceTest {};
+
+TEST_P(RuntimeConformanceCallDeathTest, CallOnDownProcessAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        b().add(1);
+        b().start();
+        b().kill(1);
+        b().run_on(1, [](runtime::Node&) {});
+      },
+      "call on a process that is down");
+}
+
+const auto kBackendName = [](const auto& info) {
+  return info.param == Kind::kSim ? "Sim" : "Thread";
+};
 INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformanceTest,
                          ::testing::Values(Kind::kSim, Kind::kThread),
-                         [](const auto& info) {
-                           return info.param == Kind::kSim ? "Sim" : "Thread";
-                         });
+                         kBackendName);
+INSTANTIATE_TEST_SUITE_P(Backends, RuntimeConformanceCallDeathTest,
+                         ::testing::Values(Kind::kSim, Kind::kThread),
+                         kBackendName);
 
 // ---- backend-specific contracts -------------------------------------------
 

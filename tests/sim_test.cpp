@@ -10,7 +10,7 @@
 namespace mrp::sim {
 namespace {
 
-struct TestMsg final : Message {
+struct TestMsg final : runtime::Message {
   int payload = 0;
   std::size_t size = 100;
   int kind() const override { return 1; }
@@ -18,16 +18,16 @@ struct TestMsg final : Message {
 };
 
 /// Records everything it receives.
-class Recorder : public Process {
+class Recorder : public runtime::Node {
  public:
-  using Process::Process;
-  void on_message(ProcessId from, const Message& m) override {
-    received.emplace_back(from, msg_cast<TestMsg>(m).payload, now());
+  using runtime::Node::Node;
+  void on_message(ProcessId from, const runtime::Message& m) override {
+    received.emplace_back(from, runtime::msg_cast<TestMsg>(m).payload, now());
   }
   std::vector<std::tuple<ProcessId, int, TimeNs>> received;
 };
 
-MessagePtr mk(int payload, std::size_t size = 100) {
+runtime::MessagePtr mk(int payload, std::size_t size = 100) {
   auto m = std::make_shared<TestMsg>();
   m->payload = payload;
   m->size = size;

@@ -74,7 +74,8 @@ class SmrTest : public ::testing::Test {
 
   sim::Env env_{55};
   std::unique_ptr<coord::Registry> registry_ =
-      std::make_unique<coord::Registry>(env_, 50 * kMillisecond);
+      std::make_unique<coord::Registry>(
+          env_.oracle_runtime(coord::kRegistrySender), 50 * kMillisecond);
 };
 
 TEST_F(SmrTest, RequestExecutedOnAllReplicasRepliedOnce) {
@@ -187,9 +188,9 @@ struct ReplySeen {
 /// A ClientNode that records every reply before handling it.
 class TappedClient final : public ClientNode {
  public:
-  TappedClient(sim::Env& env, ProcessId id, Options options, NextFn next,
+  TappedClient(runtime::Runtime& rt, Options options, NextFn next,
                DoneFn done, std::vector<ReplySeen>* log)
-      : ClientNode(env, id, options, std::move(next), std::move(done)),
+      : ClientNode(rt, options, std::move(next), std::move(done)),
         log_(log) {}
 
   void on_message(ProcessId from, const runtime::Message& m) override {
@@ -558,10 +559,10 @@ struct StubLog {
 
 /// Records every request and answers it (partition tag = group) after the
 /// delay StubLog::reply_after picks.
-class StubProposer final : public sim::Process {
+class StubProposer final : public runtime::Node {
  public:
-  StubProposer(sim::Env& env, ProcessId id, StubLog* log)
-      : Process(env, id), log_(log) {}
+  StubProposer(runtime::Runtime& rt, StubLog* log)
+      : runtime::Node(rt), log_(log) {}
 
   void on_message(ProcessId, const runtime::Message& m) override {
     if (m.kind() != kMsgClientRequest) return;

@@ -7,10 +7,10 @@
 namespace mrp::storage {
 namespace {
 
-class Noop : public sim::Process {
+class Noop : public runtime::Node {
  public:
-  using Process::Process;
-  void on_message(ProcessId, const sim::Message&) override {}
+  using runtime::Node::Node;
+  void on_message(ProcessId, const runtime::Message&) override {}
 };
 
 paxos::LogRecord rec(Round r, const std::string& v, bool decided = false) {
@@ -28,7 +28,7 @@ class AcceptorLogTest : public ::testing::Test {
 };
 
 TEST_F(AcceptorLogTest, PutGetRoundtrip) {
-  AcceptorLog log(env_, 1, 0, WriteMode::Memory);
+  AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Memory);
   log.accept(5, rec(1, "five"), nullptr);
   auto got = log.get(5);
   ASSERT_TRUE(got.has_value());
@@ -37,7 +37,7 @@ TEST_F(AcceptorLogTest, PutGetRoundtrip) {
 }
 
 TEST_F(AcceptorLogTest, PromisePersistsAndMonotone) {
-  AcceptorLog log(env_, 1, 0, WriteMode::Memory);
+  AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Memory);
   log.promise(3, nullptr);
   EXPECT_EQ(log.promised(), 3u);
   log.promise(7, nullptr);
@@ -46,28 +46,28 @@ TEST_F(AcceptorLogTest, PromisePersistsAndMonotone) {
 
 TEST_F(AcceptorLogTest, SurvivesCrashRecover) {
   {
-    AcceptorLog log(env_, 1, 0, WriteMode::Memory);
+    AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Memory);
     log.promise(2, nullptr);
     log.accept(1, rec(2, "one", true), nullptr);
     log.accept(2, rec(2, "two"), nullptr);
   }
   env_.crash(1);
   env_.recover(1);
-  AcceptorLog log2(env_, 1, 0, WriteMode::Memory);
+  AcceptorLog log2(env_.runtime_for(1), 0, WriteMode::Memory);
   EXPECT_EQ(log2.promised(), 2u);
   EXPECT_EQ(log2.record_count(), 2u);
   EXPECT_TRUE(log2.get(1)->decided);
 }
 
 TEST_F(AcceptorLogTest, SeparateRingsSeparateLogs) {
-  AcceptorLog a(env_, 1, 0, WriteMode::Memory);
-  AcceptorLog b(env_, 1, 1, WriteMode::Memory);
+  AcceptorLog a(env_.runtime_for(1), 0, WriteMode::Memory);
+  AcceptorLog b(env_.runtime_for(1), 1, WriteMode::Memory);
   a.accept(0, rec(1, "ring0"), nullptr);
   EXPECT_EQ(b.record_count(), 0u);
 }
 
 TEST_F(AcceptorLogTest, HigherRoundOverwrites) {
-  AcceptorLog log(env_, 1, 0, WriteMode::Memory);
+  AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Memory);
   log.accept(0, rec(1, "old"), nullptr);
   log.accept(0, rec(5, "new"), nullptr);
   EXPECT_EQ(log.get(0)->value.payload.as_string(), "new");
@@ -75,7 +75,7 @@ TEST_F(AcceptorLogTest, HigherRoundOverwrites) {
 }
 
 TEST_F(AcceptorLogTest, DecidedRecordsAreImmutable) {
-  AcceptorLog log(env_, 1, 0, WriteMode::Memory);
+  AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Memory);
   log.accept(0, rec(1, "final", true), nullptr);
   log.accept(0, rec(9, "attacker"), nullptr);  // ignored: already decided
   EXPECT_EQ(log.get(0)->value.payload.as_string(), "final");
@@ -83,7 +83,7 @@ TEST_F(AcceptorLogTest, DecidedRecordsAreImmutable) {
 }
 
 TEST_F(AcceptorLogTest, TrimRemovesBelow) {
-  AcceptorLog log(env_, 1, 0, WriteMode::Memory);
+  AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Memory);
   for (InstanceId i = 0; i < 10; ++i) {
     log.accept(i, rec(1, "v" + std::to_string(i), true), nullptr);
   }
@@ -98,7 +98,7 @@ TEST_F(AcceptorLogTest, TrimRemovesBelow) {
 }
 
 TEST_F(AcceptorLogTest, RangeQuery) {
-  AcceptorLog log(env_, 1, 0, WriteMode::Memory);
+  AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Memory);
   for (InstanceId i = 0; i < 10; i += 2) {
     log.accept(i, rec(1, "e"), nullptr);
   }
@@ -109,7 +109,7 @@ TEST_F(AcceptorLogTest, RangeQuery) {
 }
 
 TEST_F(AcceptorLogTest, PromisesFromFloor) {
-  AcceptorLog log(env_, 1, 0, WriteMode::Memory);
+  AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Memory);
   for (InstanceId i = 0; i < 6; ++i) log.accept(i, rec(2, "p"), nullptr);
   auto ps = log.promises_from(4);
   ASSERT_EQ(ps.size(), 2u);
@@ -119,7 +119,7 @@ TEST_F(AcceptorLogTest, PromisesFromFloor) {
 
 TEST_F(AcceptorLogTest, SyncModeWaitsForDisk) {
   env_.set_disk_params(1, 0, sim::DiskParams{from_millis(5), 1e18});
-  AcceptorLog log(env_, 1, 0, WriteMode::Sync);
+  AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Sync);
   TimeNs acked = -1;
   log.accept(0, rec(1, "slow"), [&] { acked = env_.now(); });
   env_.sim().run_until_idle();
@@ -128,7 +128,7 @@ TEST_F(AcceptorLogTest, SyncModeWaitsForDisk) {
 
 TEST_F(AcceptorLogTest, AsyncModeAcksImmediately) {
   env_.set_disk_params(1, 1, sim::DiskParams{from_millis(5), 1e18});
-  AcceptorLog log(env_, 1, 0, WriteMode::Async, 1);
+  AcceptorLog log(env_.runtime_for(1), 0, WriteMode::Async, 1);
   TimeNs acked = -1;
   log.accept(0, rec(1, "fast"), [&] { acked = env_.now(); });
   EXPECT_EQ(acked, 0);                      // acked before the device write
@@ -154,7 +154,7 @@ class CheckpointStoreTest : public ::testing::Test {
 };
 
 TEST_F(CheckpointStoreTest, SaveAndLatest) {
-  CheckpointStore cs(env_, 7);
+  CheckpointStore cs(env_.runtime_for(7));
   EXPECT_FALSE(cs.latest().has_value());
   Checkpoint cp;
   cp.next = {{0, 10}};
@@ -167,7 +167,7 @@ TEST_F(CheckpointStoreTest, SaveAndLatest) {
 }
 
 TEST_F(CheckpointStoreTest, KeepsOnlyMostRecent) {
-  CheckpointStore cs(env_, 7);
+  CheckpointStore cs(env_.runtime_for(7));
   for (int i = 1; i <= 3; ++i) {
     Checkpoint cp;
     cp.next = {{0, static_cast<InstanceId>(i * 10)}};
@@ -180,7 +180,7 @@ TEST_F(CheckpointStoreTest, KeepsOnlyMostRecent) {
 
 TEST_F(CheckpointStoreTest, SurvivesCrash) {
   {
-    CheckpointStore cs(env_, 7);
+    CheckpointStore cs(env_.runtime_for(7));
     Checkpoint cp;
     cp.next = {{0, 42}};
     cp.state = to_bytes("snap");
@@ -189,7 +189,7 @@ TEST_F(CheckpointStoreTest, SurvivesCrash) {
   }
   env_.crash(7);
   env_.recover(7);
-  CheckpointStore cs2(env_, 7);
+  CheckpointStore cs2(env_.runtime_for(7));
   ASSERT_TRUE(cs2.latest().has_value());
   EXPECT_EQ(cs2.latest()->next.at(0), 42u);
   EXPECT_EQ(mrp::to_string(cs2.latest()->state), "snap");
@@ -197,7 +197,7 @@ TEST_F(CheckpointStoreTest, SurvivesCrash) {
 
 TEST_F(CheckpointStoreTest, SaveCallbackAfterDiskWrite) {
   env_.set_disk_params(7, 0, sim::DiskParams{from_millis(3), 1e18});
-  CheckpointStore cs(env_, 7);
+  CheckpointStore cs(env_.runtime_for(7));
   Checkpoint cp;
   cp.state = Bytes(1000, 1);
   TimeNs done = -1;

@@ -21,6 +21,11 @@
 #include <vector>
 
 #include "coord/registry.hpp"
+#include "dlog/client.hpp"
+#include "dlog/dlog.hpp"
+#include "mrpstore/client.hpp"
+#include "mrpstore/partitioning.hpp"
+#include "mrpstore/store.hpp"
 #include "net/wire.hpp"
 #include "runtime/thread_runtime.hpp"
 #include "smr/client.hpp"
@@ -580,6 +585,151 @@ TEST_F(ThreadRingTest, OneReplyPerCommandOverLoopbackTcp) {
       EXPECT_EQ(from[0], 2) << "seq " << key.second;
     }
   });
+  cluster.stop();
+}
+
+TEST_F(ThreadRingTest, BuiltStoreAndLogServeOverLoopbackTcp) {
+  // The paper's two services, deployed by the same builders the sim tests
+  // use (build_store, build_dlog) onto real threads and sockets: a 2-
+  // partition MRP-Store with a global ring next to a 2-log dLog with a
+  // common ring, driven by one client through every operation kind.
+  runtime::ThreadCluster cluster(cluster_options());
+  coord::Registry registry(cluster.add_oracle(coord::kRegistrySender),
+                           50 * kMillisecond);
+
+  // Rate leveling on every ring: a merged delivery waits for each
+  // subscribed ring, and an idle ring only advances by skips.
+  ringpaxos::RingParams leveled;
+  leveled.lambda = 2000;
+  leveled.skip_interval = 5 * kMillisecond;
+  mrpstore::StoreOptions so;
+  so.partitions = 2;
+  so.replicas_per_partition = 3;
+  so.partitioner = mrpstore::RangePartitioner({"m"}).encode();
+  so.ring_params = leveled;
+  so.global_params = leveled;
+  dlog::DLogOptions lo;
+  lo.ring_params = leveled;
+  lo.common_params = leveled;
+  const mrpstore::StoreDeployment store_dep =
+      mrpstore::build_store(cluster, registry, so);
+  const dlog::DLogDeployment log_dep = dlog::build_dlog(cluster, registry, lo);
+  const mrpstore::StoreClient store(store_dep);
+  const dlog::DLogClient log(log_dep);
+
+  // One worker runs the script in order: each request is issued only after
+  // the previous one completed, and reply i answers script[i].
+  const std::vector<smr::Request> script = {
+      store.insert("k1", to_bytes("v1")),
+      store.read("k1"),
+      store.update("k1", to_bytes("v2")),
+      store.read("k1"),
+      store.multi_put({{"a1", to_bytes("100")}, {"z1", to_bytes("100")}}),
+      store.transfer("a1", "z1", 30),
+      store.multi_get({"a1", "z1"}),
+      log.append(0, to_bytes("x0")),
+      log.append(1, to_bytes("y0")),
+      log.multi_append({0, 1}, to_bytes("both")),
+      log.append(0, to_bytes("x1")),
+      log.read(0, 1),
+  };
+  std::mutex mu;
+  std::vector<std::map<int, Bytes>> replies;  // guarded by mu
+  std::atomic<std::size_t> done{0};
+  cluster.add_local(kClient, [&](runtime::Runtime& rt) {
+    smr::ClientNode::Options opts;
+    opts.workers = 1;
+    opts.retry_timeout = kSecond;
+    return std::make_unique<smr::ClientNode>(
+        rt, opts,
+        smr::ClientNode::NextFn(
+            [&script, n = std::size_t{0}](
+                std::uint32_t) mutable -> std::optional<smr::Request> {
+              if (n >= script.size()) return std::nullopt;
+              return script[n++];
+            }),
+        smr::ClientNode::DoneFn([&](const smr::Completion& c) {
+          std::lock_guard<std::mutex> lk(mu);
+          replies.push_back(c.results);
+          done.fetch_add(1);
+        }));
+  });
+
+  cluster.start();
+  ASSERT_TRUE(wait_for([&] { return done.load() >= script.size(); }, 60))
+      << "services stalled over loopback TCP: " << done.load() << "/"
+      << script.size() << " completions";
+
+  std::vector<std::map<int, Bytes>> r;
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    r = replies;
+  }
+  const auto kv = [&r](std::size_t i) {
+    return mrpstore::decode_result(r.at(i).begin()->second);
+  };
+  const auto entry = [&r](std::size_t i) {
+    return dlog::decode_result(r.at(i).begin()->second);
+  };
+  EXPECT_EQ(kv(0).status, mrpstore::Status::kOk);
+  EXPECT_EQ(mrp::to_string(kv(1).value), "v1");
+  EXPECT_EQ(kv(2).status, mrpstore::Status::kOk);
+  EXPECT_EQ(mrp::to_string(kv(3).value), "v2");
+  EXPECT_EQ(r.at(4).size(), 2u) << "multi_put must hear from both partitions";
+  EXPECT_EQ(mrpstore::StoreClient::merge_multi(r.at(4)).status,
+            mrpstore::Status::kOk);
+  EXPECT_EQ(mrpstore::StoreClient::merge_multi(r.at(5)).status,
+            mrpstore::Status::kOk);
+  const mrpstore::Result balances = mrpstore::StoreClient::merge_multi(r.at(6));
+  ASSERT_EQ(balances.entries.size(), 2u);
+  EXPECT_EQ(balances.entries[0].first, "a1");
+  EXPECT_EQ(mrp::to_string(balances.entries[0].second), "70");
+  EXPECT_EQ(balances.entries[1].first, "z1");
+  EXPECT_EQ(mrp::to_string(balances.entries[1].second), "130");
+  using Pos = std::pair<dlog::LogId, dlog::Position>;
+  EXPECT_EQ(entry(7).positions, (std::vector<Pos>{{0, 0}}));
+  EXPECT_EQ(entry(8).positions, (std::vector<Pos>{{1, 0}}));
+  EXPECT_EQ(entry(9).positions, (std::vector<Pos>{{0, 1}, {1, 1}}));
+  EXPECT_EQ(entry(10).positions, (std::vector<Pos>{{0, 2}}));
+  EXPECT_EQ(mrp::to_string(entry(11).data), "both");
+
+  // Only one replica per partition answers, so the others may still be
+  // executing: wait until every replica's state agrees, then check it.
+  for (const auto& replicas : store_dep.replicas) {
+    ASSERT_TRUE(wait_for(
+        [&] {
+          for (ProcessId pid : replicas) {
+            if (store_dep.replica_digest(cluster, pid) !=
+                store_dep.replica_digest(cluster, replicas.front())) {
+              return false;
+            }
+          }
+          return true;
+        },
+        30))
+        << "replicas of partition " << replicas.front() << " diverged";
+  }
+  for (ProcessId pid : store_dep.replicas[0]) {
+    EXPECT_EQ(mrp::to_string(*store_dep.replica_get(cluster, pid, "a1")),
+              "70");
+  }
+  for (ProcessId pid : store_dep.replicas[1]) {
+    EXPECT_EQ(mrp::to_string(*store_dep.replica_get(cluster, pid, "z1")),
+              "130");
+  }
+  ASSERT_TRUE(wait_for(
+      [&] {
+        for (ProcessId s : log_dep.servers) {
+          if (log_dep.server_next_position(cluster, s, 0) != 3 ||
+              log_dep.server_digest(cluster, s) !=
+                  log_dep.server_digest(cluster, log_dep.servers.front())) {
+            return false;
+          }
+        }
+        return true;
+      },
+      30))
+      << "log servers diverged";
   cluster.stop();
 }
 

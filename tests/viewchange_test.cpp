@@ -19,9 +19,9 @@ using Sink = std::function<void(ProcessId, GroupId, InstanceId, const Payload&)>
 
 class TestNode : public multiring::MultiRingNode {
  public:
-  TestNode(sim::Env& env, ProcessId id, coord::Registry* reg,
+  TestNode(runtime::Runtime& rt, coord::Registry* reg,
            multiring::NodeConfig cfg, std::shared_ptr<Sink> sink)
-      : MultiRingNode(env, id, reg, std::move(cfg)) {
+      : MultiRingNode(rt, reg, std::move(cfg)) {
     set_deliver([this, sink](GroupId g, InstanceId i, const Payload& p) {
       (*sink)(this->id(), g, i, p);
     });
@@ -65,7 +65,8 @@ class ViewChangeTest : public ::testing::Test {
   int n_total_ = 0;
   sim::Env env_{321};
   std::unique_ptr<coord::Registry> registry_ =
-      std::make_unique<coord::Registry>(env_, 50 * kMillisecond);
+      std::make_unique<coord::Registry>(
+          env_.oracle_runtime(coord::kRegistrySender), 50 * kMillisecond);
   std::vector<std::pair<ProcessId, std::string>> deliveries_;
   std::shared_ptr<Sink> sink_ = std::make_shared<Sink>(
       [this](ProcessId n, GroupId, InstanceId, const Payload& p) {
